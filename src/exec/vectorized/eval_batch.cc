@@ -359,7 +359,7 @@ void CompiledExpr::EvalBatch(const vec::ColumnBatch& batch, size_t begin,
                              size_t end, vec::ColumnVector* out) const {
   const size_t n = end - begin;
   std::vector<Ent> stack;
-  stack.reserve(static_cast<size_t>(kMaxStackDepth));
+  stack.reserve(max_depth_);
   auto push_owned = [&stack](ColumnVector v) {
     stack.emplace_back();
     stack.back().owned = std::move(v);

@@ -69,7 +69,7 @@ RddPtr<Row> BuildVecScanFilter(const VecScan& scan) {
         }
         if (scan.predicate != nullptr) {
           tctx->work().rows_processed +=
-              ExprChargeRows(scanned, scan.predicate_extra, scan.compiled_charges);
+              ExprChargeRows(scanned, scan.predicate_extra);
         }
         return out;
       },
@@ -111,10 +111,10 @@ RddPtr<Row> BuildVecScanProject(
         }
         if (scan.predicate != nullptr) {
           tctx->work().rows_processed +=
-              ExprChargeRows(scanned, scan.predicate_extra, scan.compiled_charges);
+              ExprChargeRows(scanned, scan.predicate_extra);
         }
         tctx->work().rows_processed +=
-            ExprChargeRows(survived, project_extra, scan.compiled_charges);
+            ExprChargeRows(survived, project_extra);
         return out;
       },
       "vecScanProject:" + scan.table);
@@ -132,7 +132,7 @@ class VecAggShuffleDep final : public ShuffleDependency {
   VecAggShuffleDep(
       RddPtr<TablePartitionPtr> parent, int num_buckets, VecScan scan,
       std::shared_ptr<const std::vector<CompiledExpr>> groups,
-      std::shared_ptr<const std::vector<std::vector<CompiledExpr>>> agg_args,
+      std::shared_ptr<const std::vector<CompiledExpr>> agg_args,
       std::shared_ptr<const std::vector<AggCall>> calls)
       : ShuffleDependency(parent, num_buckets),
         scan_(std::move(scan)),
@@ -151,7 +151,8 @@ class VecAggShuffleDep final : public ShuffleDependency {
     uint64_t fed = 0;  // rows reaching the group-by (the scalar `in.size()`)
     std::vector<ColumnVector> keycols(groups_->size());
     std::vector<const ColumnVector*> keyviews(groups_->size());
-    std::vector<std::vector<ColumnVector>> argcols(calls_->size());
+    std::vector<ColumnVector> argcols(agg_args_->size());
+    std::vector<Value> args;
     for (const TablePartitionPtr& part : parts) {
       if (part == nullptr) continue;
       ScannedPart sp = ScanFilterPart(scan_, *part, tctx);
@@ -167,39 +168,15 @@ class VecAggShuffleDep final : public ShuffleDependency {
         }
         const size_t hbase = row_hashes.size();
         HashKeyColumns(keyviews, w, &row_hashes);
-        for (size_t ci = 0; ci < calls_->size(); ++ci) {
-          const std::vector<CompiledExpr>& progs = (*agg_args_)[ci];
-          argcols[ci].resize(progs.size());
-          for (size_t ai = 0; ai < progs.size(); ++ai) {
-            progs[ai].EvalBatch(sp.batch, b, e, &argcols[ci][ai]);
-          }
+        for (size_t a = 0; a < agg_args_->size(); ++a) {
+          (*agg_args_)[a].EvalBatch(sp.batch, b, e, &argcols[a]);
         }
         for (size_t i = 0; i < w; ++i) {
           size_t g = table.FindOrInsert(keyviews, i, row_hashes[hbase + i]);
           if (g == states.size()) states.push_back(InitAggState(*calls_));
-          AggState& state = states[g];
-          for (size_t ci = 0; ci < calls_->size(); ++ci) {
-            const AggCall& call = (*calls_)[ci];
-            AggCell& cell = state.cells[ci];
-            if (call.fn == AggCall::Fn::kCountStar) {
-              cell.count += 1;
-              continue;
-            }
-            if (call.fn == AggCall::Fn::kCountDistinct) {
-              Row tuple;
-              bool any_null = false;
-              for (const ColumnVector& ac : argcols[ci]) {
-                Value v = ac.ValueAt(i);
-                any_null = any_null || v.is_null();
-                tuple.fields.push_back(std::move(v));
-              }
-              if (!any_null) cell.distinct.insert(std::move(tuple));
-              continue;
-            }
-            Value v = argcols[ci].empty() ? Value::Null()
-                                          : argcols[ci][0].ValueAt(i);
-            AccumulateValue(call, v, &cell);
-          }
+          args.clear();
+          for (const ColumnVector& ac : argcols) args.push_back(ac.ValueAt(i));
+          AccumulateArgs(*calls_, &args, &states[g]);
         }
       }
     }
@@ -207,7 +184,7 @@ class VecAggShuffleDep final : public ShuffleDependency {
     // originals: scanFilter (ApplyPredicate), aggKey (MapRdd)...
     if (scan_.predicate != nullptr) {
       tctx->work().rows_processed +=
-          ExprChargeRows(scanned, scan_.predicate_extra, scan_.compiled_charges);
+          ExprChargeRows(scanned, scan_.predicate_extra);
     }
     tctx->work().rows_processed += fed;
     // ...and CombiningShuffleDep::PartitionBlock's combine charges.
@@ -286,7 +263,7 @@ class VecAggShuffleDep final : public ShuffleDependency {
  private:
   VecScan scan_;
   std::shared_ptr<const std::vector<CompiledExpr>> groups_;
-  std::shared_ptr<const std::vector<std::vector<CompiledExpr>>> agg_args_;
+  std::shared_ptr<const std::vector<CompiledExpr>> agg_args_;
   std::shared_ptr<const std::vector<AggCall>> calls_;
 };
 
@@ -295,7 +272,7 @@ class VecAggShuffleDep final : public ShuffleDependency {
 std::shared_ptr<ShuffleDependency> MakeVecAggDep(
     const VecScan& scan, int num_buckets,
     std::shared_ptr<const std::vector<CompiledExpr>> group_programs,
-    std::shared_ptr<const std::vector<std::vector<CompiledExpr>>> agg_arg_programs,
+    std::shared_ptr<const std::vector<CompiledExpr>> agg_arg_programs,
     std::shared_ptr<const std::vector<AggCall>> calls) {
   // Identity pass-through so the shuffle-map stage carries a recognizable
   // label (the base may be the raw cached RDD or a prunedScan subset).

@@ -30,17 +30,13 @@ struct VecScan {
   /// Compiled scan predicate; null for unfiltered scans.
   std::shared_ptr<const CompiledExpr> predicate;
   uint64_t predicate_extra = 0;  // UdfExtraRows of the predicate
-
-  /// Mirrors ExecOptions::compile_expressions: which per-row charge formula
-  /// the scalar path would have used (the vectorized engine always runs the
-  /// compiled program, but it must not change virtual costs).
-  bool compiled_charges = false;
 };
 
-/// Per-row virtual charge of evaluating expressions over n rows, matching
-/// ApplyPredicate/BuildProject's interpreted and compiled formulas.
-inline uint64_t ExprChargeRows(uint64_t n, uint64_t extra, bool compiled) {
-  return compiled ? n * (4 + 5 * extra) / 5 : n * (1 + extra);
+/// Per-row virtual charge of evaluating expressions over n rows: one row of
+/// work each, plus `extra` rows for the UDF calls among them. Shared with the
+/// executor's ApplyPredicate and BuildProject.
+inline uint64_t ExprChargeRows(uint64_t n, uint64_t extra) {
+  return n * (1 + extra);
 }
 
 /// Fused scan+filter over the columnar store: decodes only the needed
@@ -63,11 +59,12 @@ RddPtr<Row> BuildVecScanProject(
 /// the existing ShuffledReduceRdd<Row, AggState> consumes unchanged, with
 /// accumulation in input row order so AggStates (and therefore all shuffle
 /// byte/record statistics) are bit-identical to the scalar
-/// aggKey -> CombiningShuffleDep chain.
+/// aggKey -> CombiningShuffleDep chain. `agg_arg_programs` holds every
+/// call's argument programs flattened call by call (AccumulateArgs' layout).
 std::shared_ptr<ShuffleDependency> MakeVecAggDep(
     const VecScan& scan, int num_buckets,
     std::shared_ptr<const std::vector<CompiledExpr>> group_programs,
-    std::shared_ptr<const std::vector<std::vector<CompiledExpr>>> agg_arg_programs,
+    std::shared_ptr<const std::vector<CompiledExpr>> agg_arg_programs,
     std::shared_ptr<const std::vector<AggCall>> calls);
 
 }  // namespace vec

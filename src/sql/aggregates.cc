@@ -20,6 +20,10 @@ AggState InitAggState(const std::vector<AggCall>& calls) {
   return state;
 }
 
+namespace {
+
+/// Folds a single evaluated argument value into one cell; every function
+/// except kCountDistinct (which needs the full argument tuple).
 void AccumulateValue(const AggCall& call, const Value& v, AggCell* cell) {
   switch (call.fn) {
     case AggCall::Fn::kCountStar:
@@ -61,30 +65,41 @@ void AccumulateValue(const AggCall& call, const Value& v, AggCell* cell) {
   }
 }
 
-void AccumulateRow(const std::vector<AggCall>& calls, const Row& row,
-                   const UdfRegistry* udfs, AggState* state) {
+}  // namespace
+
+void AccumulateArgs(const std::vector<AggCall>& calls, std::vector<Value>* args,
+                    AggState* state) {
+  static const Value kNoArg = Value::Null();
+  size_t next = 0;
   for (size_t i = 0; i < calls.size(); ++i) {
     const AggCall& call = calls[i];
     AggCell& cell = state->cells[i];
-    if (call.fn == AggCall::Fn::kCountStar) {
-      cell.count += 1;
-      continue;
-    }
+    const size_t argc = call.args.size();
     if (call.fn == AggCall::Fn::kCountDistinct) {
       Row tuple;
       bool any_null = false;
-      for (const ExprPtr& arg : call.args) {
-        Value v = EvalExpr(*arg, row, udfs);
+      for (size_t a = 0; a < argc; ++a) {
+        Value& v = (*args)[next + a];
         any_null = any_null || v.is_null();
         tuple.fields.push_back(std::move(v));
       }
       if (!any_null) cell.distinct.insert(std::move(tuple));
-      continue;
+    } else {
+      AccumulateValue(call, argc == 0 ? kNoArg : (*args)[next], &cell);
     }
-    Value v = call.args.empty() ? Value::Null()
-                                : EvalExpr(*call.args[0], row, udfs);
-    AccumulateValue(call, v, &cell);
+    next += argc;
   }
+}
+
+void AccumulateRow(const std::vector<AggCall>& calls, const Row& row,
+                   const UdfRegistry* udfs, AggState* state) {
+  std::vector<Value> args;
+  for (const AggCall& call : calls) {
+    for (const ExprPtr& arg : call.args) {
+      args.push_back(EvalExpr(*arg, row, udfs));
+    }
+  }
+  AccumulateArgs(calls, &args, state);
 }
 
 void MergeAggStates(const std::vector<AggCall>& calls, const AggState& from,

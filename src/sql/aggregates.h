@@ -31,16 +31,19 @@ uint64_t ApproxSizeOf(const AggState& state);
 /// Creates an empty state for the given calls.
 AggState InitAggState(const std::vector<AggCall>& calls);
 
-/// Folds one input row into the state (map side).
+/// Folds one input row into the state (map side), given the row's evaluated
+/// aggregate arguments flattened call by call: call i contributes
+/// calls[i].args.size() values. Consumes `args` (values may be moved out).
+/// The executor's row path and the vectorized group-by both accumulate
+/// through here, so they share the arithmetic (and double summation order)
+/// exactly.
+void AccumulateArgs(const std::vector<AggCall>& calls, std::vector<Value>* args,
+                    AggState* state);
+
+/// Evaluates the arguments with the tree interpreter, then AccumulateArgs
+/// (the reference oracle's path).
 void AccumulateRow(const std::vector<AggCall>& calls, const Row& row,
                    const UdfRegistry* udfs, AggState* state);
-
-/// Folds a single already-evaluated argument value into one cell. Handles
-/// every function except kCountDistinct (which needs the full arg tuple —
-/// callers build the tuple and insert into `cell->distinct` themselves).
-/// Exposed so the vectorized group-by accumulates with exactly the same
-/// arithmetic (and double summation order) as the row path.
-void AccumulateValue(const AggCall& call, const Value& v, AggCell* cell);
 
 /// Merges `from` into `into` (reduce side).
 void MergeAggStates(const std::vector<AggCall>& calls, const AggState& from,

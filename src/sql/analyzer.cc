@@ -491,7 +491,10 @@ Result<PlanPtr> Analyzer::AnalyzeSelect(const SelectStmt& stmt) const {
     sort->output = plan->output;
     for (const OrderItem& item : stmt.order_by) {
       auto bound = BindExpr(item.expr, out_scope);
-      if (!bound.ok()) {
+      // An aggregate binds over the output scope whenever its arguments do
+      // (COUNT(*) always), but the sort evaluates keys per row, not per
+      // group: an aggregate key must match a select item.
+      if (!bound.ok() || ContainsAggregate(**bound)) {
         // Structural match against the select expressions, both in their
         // post-aggregate form and as originally bound over the FROM scope
         // (so ORDER BY SUM(a) matches a SUM(a) select item).

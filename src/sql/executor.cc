@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <numeric>
 #include <set>
 #include <unordered_map>
 
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "exec/vectorized/column_batch.h"
 #include "exec/vectorized/vec_exec.h"
 #include "index/btree.h"
 #include "rdd/pair_rdd.h"
@@ -49,11 +49,27 @@ uint64_t UdfExtraRows(const Expr& expr, const UdfRegistry* udfs) {
   return extra;
 }
 
-Row EvalKeyRow(const std::vector<ExprPtr>& keys, const Row& row,
-               const UdfRegistry* udfs) {
+/// Compiled programs of an expression list, shared by an operator's tasks.
+using Programs = std::shared_ptr<const std::vector<CompiledExpr>>;
+
+/// Compiles each expression once, when the operator's RDD is built.
+Result<Programs> CompileAll(const std::vector<ExprPtr>& exprs,
+                            const UdfRegistry* udfs) {
+  ExprCompiler compiler(udfs);
+  std::vector<CompiledExpr> programs;
+  programs.reserve(exprs.size());
+  for (const ExprPtr& e : exprs) {
+    SHARK_ASSIGN_OR_RETURN(CompiledExpr program, compiler.Compile(*e));
+    programs.push_back(std::move(program));
+  }
+  return std::make_shared<const std::vector<CompiledExpr>>(std::move(programs));
+}
+
+/// One field per program: a join or group key, or a projected row.
+Row EvalKeyRow(const std::vector<CompiledExpr>& keys, const Row& row) {
   Row out;
   out.fields.reserve(keys.size());
-  for (const ExprPtr& k : keys) out.fields.push_back(EvalExpr(*k, row, udfs));
+  for (const CompiledExpr& k : keys) out.fields.push_back(k.Eval(row));
   return out;
 }
 
@@ -67,15 +83,13 @@ Row ConcatRows(const Row& left, const Row& right) {
 /// shuffle; partition i of the output joins partition i of each side.
 class ZippedJoinRdd final : public TypedRdd<Row> {
  public:
-  ZippedJoinRdd(RddPtr<Row> left, RddPtr<Row> right,
-                std::vector<ExprPtr> left_keys, std::vector<ExprPtr> right_keys,
-                const UdfRegistry* udfs)
+  ZippedJoinRdd(RddPtr<Row> left, RddPtr<Row> right, Programs left_keys,
+                Programs right_keys)
       : TypedRdd<Row>(left->context(), "copartitionJoin"),
         left_(left),
         right_(right),
         left_keys_(std::move(left_keys)),
-        right_keys_(std::move(right_keys)),
-        udfs_(udfs) {
+        right_keys_(std::move(right_keys)) {
     SHARK_CHECK(left->num_partitions() == right->num_partitions());
     deps_.push_back(Dependency{left, nullptr});
     deps_.push_back(Dependency{right, nullptr});
@@ -90,12 +104,12 @@ class ZippedJoinRdd final : public TypedRdd<Row> {
     const bool left_build = lrows->size() <= rrows->size();
     const std::vector<Row>& build = left_build ? *lrows : *rrows;
     const std::vector<Row>& probe = left_build ? *rrows : *lrows;
-    const std::vector<ExprPtr>& build_keys = left_build ? left_keys_ : right_keys_;
-    const std::vector<ExprPtr>& probe_keys = left_build ? right_keys_ : left_keys_;
+    const std::vector<CompiledExpr>& build_keys =
+        left_build ? *left_keys_ : *right_keys_;
+    const std::vector<CompiledExpr>& probe_keys =
+        left_build ? *right_keys_ : *left_keys_;
     JoinTable table;
-    for (const Row& r : build) {
-      table[EvalKeyRow(build_keys, r, udfs_)].push_back(r);
-    }
+    for (const Row& r : build) table[EvalKeyRow(build_keys, r)].push_back(r);
     tctx->work().hash_records += build.size() + probe.size();
     tctx->work().rows_processed += build.size() + probe.size();
     // The build table holds the whole smaller side; past the task's budget
@@ -103,7 +117,7 @@ class ZippedJoinRdd final : public TypedRdd<Row> {
     tctx->ReserveOrSpillHash(ApproxSizeOfRange(build), build.size());
     Block out;
     for (const Row& r : probe) {
-      auto it = table.find(EvalKeyRow(probe_keys, r, udfs_));
+      auto it = table.find(EvalKeyRow(probe_keys, r));
       if (it == table.end()) continue;
       for (const Row& b : it->second) {
         out.push_back(left_build ? ConcatRows(b, r) : ConcatRows(r, b));
@@ -121,9 +135,8 @@ class ZippedJoinRdd final : public TypedRdd<Row> {
  private:
   RddPtr<Row> left_;
   RddPtr<Row> right_;
-  std::vector<ExprPtr> left_keys_;
-  std::vector<ExprPtr> right_keys_;
-  const UdfRegistry* udfs_;
+  Programs left_keys_;
+  Programs right_keys_;
 };
 
 }  // namespace
@@ -310,43 +323,24 @@ Result<std::vector<Row>> Executor::CollectTracked(const RddPtr<Row>& rdd) {
   return rows;
 }
 
-RddPtr<Row> Executor::ApplyPredicate(RddPtr<Row> rows, const ExprPtr& predicate,
-                                     const std::string& label) {
+Result<RddPtr<Row>> Executor::ApplyPredicate(RddPtr<Row> rows,
+                                             const ExprPtr& predicate,
+                                             const std::string& label) {
   if (predicate == nullptr) return rows;
-  const UdfRegistry* udfs = udfs_;
-  uint64_t extra = UdfExtraRows(*predicate, udfs);
-  if (options_.compile_expressions) {
-    ExprCompiler compiler(udfs);
-    auto compiled = compiler.Compile(*predicate);
-    if (compiled.ok()) {
-      auto program = std::make_shared<const CompiledExpr>(std::move(*compiled));
-      return rows->MapPartitions(
-          [program, extra](int, const std::vector<Row>& in, TaskContext* tctx) {
-            std::vector<Row> out;
-            for (const Row& r : in) {
-              if (program->EvalBool(r)) out.push_back(r);
-            }
-            // Compiled evaluators cost ~0.8x the interpreted per-row charge
-            // (the measured micro-benchmark ratio for this Value
-            // representation; full type-specialized codegen, as Spark SQL's
-            // Tungsten later did, would go further).
-            tctx->work().rows_processed += in.size() * (4 + 5 * extra) / 5;
-            return out;
-          },
-          label);
-    }
-  }
-  ExprPtr pred = predicate;
-  return rows->MapPartitions(
-      [pred, udfs, extra](int, const std::vector<Row>& in, TaskContext* tctx) {
+  SHARK_ASSIGN_OR_RETURN(CompiledExpr compiled,
+                         ExprCompiler(udfs_).Compile(*predicate));
+  auto program = std::make_shared<const CompiledExpr>(std::move(compiled));
+  const uint64_t extra = UdfExtraRows(*predicate, udfs_);
+  return RddPtr<Row>(rows->MapPartitions(
+      [program, extra](int, const std::vector<Row>& in, TaskContext* tctx) {
         std::vector<Row> out;
         for (const Row& r : in) {
-          if (EvalPredicate(*pred, r, udfs)) out.push_back(r);
+          if (program->EvalBool(r)) out.push_back(r);
         }
-        tctx->work().rows_processed += in.size() * (1 + extra);
+        tctx->work().rows_processed += vec::ExprChargeRows(in.size(), extra);
         return out;
       },
-      label);
+      label));
 }
 
 Result<RddPtr<Row>> Executor::BuildRdd(const PlanPtr& plan) {
@@ -429,7 +423,6 @@ bool Executor::PrepareVecScan(const LogicalPlan& node, vec::VecScan* out) {
   out->table = node.table;
   out->predicate = std::move(predicate);
   out->predicate_extra = extra;
-  out->compiled_charges = options_.compile_expressions;
   return true;
 }
 
@@ -543,109 +536,44 @@ Result<RddPtr<Row>> Executor::BuildIndexScan(const LogicalPlan& node) {
   // concatenation of a block's partitions, mirroring the build job.
   const uint64_t probe_rows = static_cast<uint64_t>(index->tree->height()) + 1;
 
-  RddPtr<Row> rows;
-  if (options_.vectorized) {
-    // Vectorized gather: decode the needed columns once, gather the selected
-    // rows batch-at-a-time. Host-side only — charges match the scalar path
-    // cell for cell (MaterializeRow reproduces ToRows' values exactly).
-    auto fields =
-        std::make_shared<const std::vector<Field>>(info->schema.fields());
-    const std::string table = node.table;
-    rows = base->MapPartitions(
-        [rows_by_pos, needed, needed_mask, fields, table, probe_rows](
-            int p, const std::vector<TablePartitionPtr>& parts,
-            TaskContext* tctx) {
-          static const std::vector<uint32_t> kNone;
-          const std::vector<uint32_t>& want =
-              static_cast<size_t>(p) < rows_by_pos->size()
-                  ? (*rows_by_pos)[static_cast<size_t>(p)]
-                  : kNone;
-          std::vector<Row> out;
-          out.reserve(want.size());
-          uint64_t bytes = 0;
-          size_t offset = 0, wi = 0;
-          for (const TablePartitionPtr& part : parts) {
-            if (part == nullptr) continue;
-            const size_t n = part->num_rows();
-            vec::SelVector sel;
-            while (wi < want.size() && want[wi] < offset + n) {
-              sel.push_back(static_cast<int32_t>(want[wi] - offset));
-              ++wi;
-            }
-            if (!sel.empty()) {
-              vec::ColumnBatch batch;
-              Status st =
-                  vec::DecodePartition(*part, *fields, *needed, table, &batch);
-              if (st.ok()) {
-                vec::ColumnBatch picked = vec::GatherBatch(batch, sel);
-                for (size_t i = 0; i < picked.num_rows; ++i) {
-                  Row r = vec::MaterializeRow(picked, i);
-                  for (int c : *needed) {
-                    bytes += ApproxSizeOf(r.fields[static_cast<size_t>(c)]);
-                  }
-                  out.push_back(std::move(r));
-                }
-              } else {
-                // Per-row fallback with identical charges.
-                for (int32_t s : sel) {
-                  Row r = part->GetRow(static_cast<size_t>(s));
-                  for (size_t c = 0; c < r.fields.size(); ++c) {
-                    if (c < needed_mask->size() && (*needed_mask)[c] == 0) {
-                      r.fields[c] = Value::Null();
-                    }
-                  }
-                  for (int c : *needed) {
-                    bytes += ApproxSizeOf(r.fields[static_cast<size_t>(c)]);
-                  }
-                  out.push_back(std::move(r));
-                }
+  // Per-row gather: IndexRangeScan is cost-gated to selective ranges, so
+  // each task picks a few rows out of its partition.
+  RddPtr<Row> rows = base->MapPartitions(
+      [rows_by_pos, needed, needed_mask, probe_rows](
+          int p, const std::vector<TablePartitionPtr>& parts,
+          TaskContext* tctx) {
+        static const std::vector<uint32_t> kNone;
+        const std::vector<uint32_t>& want =
+            static_cast<size_t>(p) < rows_by_pos->size()
+                ? (*rows_by_pos)[static_cast<size_t>(p)]
+                : kNone;
+        std::vector<Row> out;
+        out.reserve(want.size());
+        uint64_t bytes = 0;
+        size_t offset = 0, wi = 0;
+        for (const TablePartitionPtr& part : parts) {
+          if (part == nullptr) continue;
+          const size_t n = part->num_rows();
+          while (wi < want.size() && want[wi] < offset + n) {
+            Row r = part->GetRow(static_cast<size_t>(want[wi] - offset));
+            for (size_t c = 0; c < r.fields.size(); ++c) {
+              if (c < needed_mask->size() && (*needed_mask)[c] == 0) {
+                r.fields[c] = Value::Null();
               }
             }
-            offset += n;
+            for (int c : *needed) {
+              bytes += ApproxSizeOf(r.fields[static_cast<size_t>(c)]);
+            }
+            out.push_back(std::move(r));
+            ++wi;
           }
-          tctx->work().rows_processed += probe_rows + 2 * out.size();
-          tctx->work().mem_read_bytes += bytes;
-          return out;
-        },
-        "vecIndexGather:" + node.table);
-  } else {
-    rows = base->MapPartitions(
-        [rows_by_pos, needed, needed_mask, probe_rows](
-            int p, const std::vector<TablePartitionPtr>& parts,
-            TaskContext* tctx) {
-          static const std::vector<uint32_t> kNone;
-          const std::vector<uint32_t>& want =
-              static_cast<size_t>(p) < rows_by_pos->size()
-                  ? (*rows_by_pos)[static_cast<size_t>(p)]
-                  : kNone;
-          std::vector<Row> out;
-          out.reserve(want.size());
-          uint64_t bytes = 0;
-          size_t offset = 0, wi = 0;
-          for (const TablePartitionPtr& part : parts) {
-            if (part == nullptr) continue;
-            const size_t n = part->num_rows();
-            while (wi < want.size() && want[wi] < offset + n) {
-              Row r = part->GetRow(static_cast<size_t>(want[wi] - offset));
-              for (size_t c = 0; c < r.fields.size(); ++c) {
-                if (c < needed_mask->size() && (*needed_mask)[c] == 0) {
-                  r.fields[c] = Value::Null();
-                }
-              }
-              for (int c : *needed) {
-                bytes += ApproxSizeOf(r.fields[static_cast<size_t>(c)]);
-              }
-              out.push_back(std::move(r));
-              ++wi;
-            }
-            offset += n;
-          }
-          tctx->work().rows_processed += probe_rows + 2 * out.size();
-          tctx->work().mem_read_bytes += bytes;
-          return out;
-        },
-        "indexGather:" + node.table);
-  }
+          offset += n;
+        }
+        tctx->work().rows_processed += probe_rows + 2 * out.size();
+        tctx->work().mem_read_bytes += bytes;
+        return out;
+      },
+      "indexGather:" + node.table);
   // Residual re-check: the tree range over-approximates, the full original
   // predicate makes the result exact (and identical to a plain scan).
   return ApplyPredicate(rows, node.scan_predicate, "indexFilter:" + node.table);
@@ -657,169 +585,68 @@ Result<RddPtr<Row>> Executor::BuildFilter(const LogicalPlan& node) {
 }
 
 Result<RddPtr<Row>> Executor::BuildProject(const LogicalPlan& node) {
+  SHARK_ASSIGN_OR_RETURN(Programs programs,
+                         CompileAll(node.project_exprs, udfs_));
+  uint64_t extra = 0;
+  for (const auto& e : node.project_exprs) extra += UdfExtraRows(*e, udfs_);
   // Vectorized fast path: fuse decode + filter + project over a cached scan.
-  if (options_.vectorized && node.children[0]->kind == PlanKind::kScan) {
-    ExprCompiler compiler(udfs_);
-    auto programs = std::make_shared<std::vector<CompiledExpr>>();
-    bool all_ok = true;
-    for (const auto& e : node.project_exprs) {
-      auto compiled = compiler.Compile(*e);
-      if (!compiled.ok()) {
-        all_ok = false;
-        break;
-      }
-      programs->push_back(std::move(*compiled));
-    }
-    if (all_ok) {
-      vec::VecScan vs;
-      if (PrepareVecScan(*node.children[0], &vs)) {
-        uint64_t project_extra = 0;
-        for (const auto& e : node.project_exprs) {
-          project_extra += UdfExtraRows(*e, udfs_);
-        }
-        return vec::BuildVecScanProject(vs, programs, project_extra);
-      }
-    }
+  vec::VecScan vs;
+  if (PrepareVecScan(*node.children[0], &vs)) {
+    return vec::BuildVecScanProject(vs, programs, extra);
   }
   SHARK_ASSIGN_OR_RETURN(RddPtr<Row> child, BuildRdd(node.children[0]));
-  const UdfRegistry* udfs = udfs_;
-  uint64_t extra = 0;
-  for (const auto& e : node.project_exprs) extra += UdfExtraRows(*e, udfs);
-  if (options_.compile_expressions) {
-    ExprCompiler compiler(udfs);
-    auto programs = std::make_shared<std::vector<CompiledExpr>>();
-    bool all_ok = true;
-    for (const auto& e : node.project_exprs) {
-      auto compiled = compiler.Compile(*e);
-      if (!compiled.ok()) {
-        all_ok = false;
-        break;
-      }
-      programs->push_back(std::move(*compiled));
-    }
-    if (all_ok) {
-      return RddPtr<Row>(child->MapPartitions(
-          [programs, extra](int, const std::vector<Row>& in, TaskContext* tctx) {
-            std::vector<Row> out;
-            out.reserve(in.size());
-            for (const Row& r : in) {
-              Row projected;
-              projected.fields.reserve(programs->size());
-              for (const CompiledExpr& p : *programs) {
-                projected.fields.push_back(p.Eval(r));
-              }
-              out.push_back(std::move(projected));
-            }
-            tctx->work().rows_processed += in.size() * (4 + 5 * extra) / 5;
-            return out;
-          },
-          "projectCompiled"));
-    }
-  }
-  auto exprs = std::make_shared<std::vector<ExprPtr>>(node.project_exprs);
   return RddPtr<Row>(child->MapPartitions(
-      [exprs, udfs, extra](int, const std::vector<Row>& in, TaskContext* tctx) {
+      [programs, extra](int, const std::vector<Row>& in, TaskContext* tctx) {
         std::vector<Row> out;
         out.reserve(in.size());
-        for (const Row& r : in) {
-          Row projected;
-          projected.fields.reserve(exprs->size());
-          for (const ExprPtr& e : *exprs) {
-            projected.fields.push_back(EvalExpr(*e, r, udfs));
-          }
-          out.push_back(std::move(projected));
-        }
-        tctx->work().rows_processed += in.size() * (1 + extra);
+        for (const Row& r : in) out.push_back(EvalKeyRow(*programs, r));
+        tctx->work().rows_processed += vec::ExprChargeRows(in.size(), extra);
         return out;
       },
       "project"));
 }
 
-Result<RddPtr<Row>> Executor::TryVecAggregate(const LogicalPlan& node) {
-  if (!options_.vectorized || node.children[0]->kind != PlanKind::kScan) {
-    return RddPtr<Row>(nullptr);
+Result<RddPtr<Row>> Executor::BuildAggregate(const LogicalPlan& node) {
+  // Aggregate arguments compile into one flat list, call by call — the
+  // layout AccumulateArgs consumes.
+  std::vector<ExprPtr> arg_exprs;
+  for (const AggCall& call : node.agg_calls) {
+    arg_exprs.insert(arg_exprs.end(), call.args.begin(), call.args.end());
   }
-  const LogicalPlan& scan = *node.children[0];
-  ExprCompiler compiler(udfs_);
-  auto group_programs = std::make_shared<std::vector<CompiledExpr>>();
-  for (const auto& e : node.group_exprs) {
-    auto compiled = compiler.Compile(*e);
-    if (!compiled.ok()) return RddPtr<Row>(nullptr);
-    group_programs->push_back(std::move(*compiled));
-  }
-  auto agg_args = std::make_shared<std::vector<std::vector<CompiledExpr>>>();
-  for (const auto& call : node.agg_calls) {
-    std::vector<CompiledExpr> programs;
-    for (const auto& a : call.args) {
-      auto compiled = compiler.Compile(*a);
-      if (!compiled.ok()) return RddPtr<Row>(nullptr);
-      programs.push_back(std::move(*compiled));
-    }
-    agg_args->push_back(std::move(programs));
-  }
-  vec::VecScan vs;
-  if (!PrepareVecScan(scan, &vs)) return RddPtr<Row>(nullptr);
+  SHARK_ASSIGN_OR_RETURN(Programs groups, CompileAll(node.group_exprs, udfs_));
+  SHARK_ASSIGN_OR_RETURN(Programs agg_args, CompileAll(arg_exprs, udfs_));
   auto calls = std::make_shared<const std::vector<AggCall>>(node.agg_calls);
 
   const bool pde = options_.pde && ctx_->profile().pde_enabled;
   int buckets = pde ? FineBuckets() : StaticReducers(node);
-  auto dep = vec::MakeVecAggDep(vs, buckets, group_programs, agg_args, calls);
 
-  BucketAssignment assignment;
-  if (pde) {
-    SHARK_ASSIGN_OR_RETURN(ShuffleStats stats, EnsureShuffleTracked(dep));
-    uint64_t virtual_bytes = static_cast<uint64_t>(
-        static_cast<double>(stats.total_bytes) * ctx_->virtual_scale());
-    int reducers = ChooseNumReducers(virtual_bytes,
-                                     options_.reducer_target_bytes, buckets);
-    metrics_.chosen_reducers = reducers;
-    assignment = CoalesceBuckets(stats.bucket_bytes, reducers);
+  std::shared_ptr<ShuffleDependency> dep;
+  vec::VecScan vs;
+  if (PrepareVecScan(*node.children[0], &vs)) {
+    // Vectorized scan->filter->group-by map side over the columnar store.
+    dep = vec::MakeVecAggDep(vs, buckets, groups, agg_args, calls);
   } else {
-    metrics_.chosen_reducers = buckets;
-    assignment = IdentityAssignment(buckets);
+    SHARK_ASSIGN_OR_RETURN(RddPtr<Row> child, BuildRdd(node.children[0]));
+    auto keyed = child->Map(
+        [groups](const Row& r) {
+          return std::make_pair(EvalKeyRow(*groups, r), r);
+        },
+        "aggKey");
+    auto accumulate = [calls, agg_args](AggState& s, const Row& r) {
+      thread_local std::vector<Value> args;
+      args.clear();
+      for (const CompiledExpr& p : *agg_args) args.push_back(p.Eval(r));
+      AccumulateArgs(*calls, &args, &s);
+    };
+    dep = std::make_shared<CombiningShuffleDep<Row, Row, AggState>>(
+        keyed, buckets,
+        [calls, accumulate](const Row& r) {
+          AggState s = InitAggState(*calls);
+          accumulate(s, r);
+          return s;
+        },
+        accumulate);
   }
-
-  auto reduced = std::make_shared<ShuffledReduceRdd<Row, AggState>>(
-      ctx_, dep,
-      [calls](AggState& a, AggState&& b) { MergeAggStates(*calls, b, &a); },
-      std::move(assignment), "aggReduce");
-
-  return RddPtr<Row>(reduced->Map(
-      [calls](const std::pair<Row, AggState>& kv) {
-        return FinalizeAggRow(*calls, kv.first, kv.second);
-      },
-      "aggFinalize"));
-}
-
-Result<RddPtr<Row>> Executor::BuildAggregate(const LogicalPlan& node) {
-  {
-    SHARK_ASSIGN_OR_RETURN(RddPtr<Row> vec_agg, TryVecAggregate(node));
-    if (vec_agg != nullptr) return vec_agg;
-  }
-  SHARK_ASSIGN_OR_RETURN(RddPtr<Row> child, BuildRdd(node.children[0]));
-  auto groups = std::make_shared<std::vector<ExprPtr>>(node.group_exprs);
-  auto calls = std::make_shared<std::vector<AggCall>>(node.agg_calls);
-  const UdfRegistry* udfs = udfs_;
-
-  auto keyed = child->Map(
-      [groups, udfs](const Row& r) {
-        return std::make_pair(EvalKeyRow(*groups, r, udfs), r);
-      },
-      "aggKey");
-
-  const bool pde = options_.pde && ctx_->profile().pde_enabled;
-  int buckets = pde ? FineBuckets() : StaticReducers(node);
-
-  auto dep = std::make_shared<CombiningShuffleDep<Row, Row, AggState>>(
-      keyed, buckets,
-      [calls, udfs](const Row& r) {
-        AggState s = InitAggState(*calls);
-        AccumulateRow(*calls, r, udfs, &s);
-        return s;
-      },
-      [calls, udfs](AggState& s, const Row& r) {
-        AccumulateRow(*calls, r, udfs, &s);
-      });
 
   BucketAssignment assignment;
   if (pde) {
@@ -887,9 +714,11 @@ Result<RddPtr<Row>> Executor::TryCoPartitionedJoin(const LogicalPlan& node) {
   if (!left_rows.ok()) return left_rows.status();
   if (!right_rows.ok()) return right_rows.status();
 
+  SHARK_ASSIGN_OR_RETURN(Programs lkeys, CompileAll(node.left_keys, udfs_));
+  SHARK_ASSIGN_OR_RETURN(Programs rkeys, CompileAll(node.right_keys, udfs_));
   metrics_.join_strategy = "copartition join";
-  auto joined = std::make_shared<ZippedJoinRdd>(
-      *left_rows, *right_rows, node.left_keys, node.right_keys, udfs_);
+  auto joined =
+      std::make_shared<ZippedJoinRdd>(*left_rows, *right_rows, lkeys, rkeys);
   return ApplyPredicate(RddPtr<Row>(joined), node.join_residual,
                         "joinResidual");
 }
@@ -965,9 +794,8 @@ Result<RddPtr<Row>> Executor::BuildJoinPair(
     std::vector<ExprPtr> right_keys, JoinType join_type, int left_width,
     int right_width, const ExprPtr& residual, double left_belief,
     double right_belief, int static_reducers, JoinSideObservation* obs) {
-  const UdfRegistry* udfs = udfs_;
-  auto lkeys = std::make_shared<std::vector<ExprPtr>>(std::move(left_keys));
-  auto rkeys = std::make_shared<std::vector<ExprPtr>>(std::move(right_keys));
+  SHARK_ASSIGN_OR_RETURN(Programs lkeys, CompileAll(left_keys, udfs_));
+  SHARK_ASSIGN_OR_RETURN(Programs rkeys, CompileAll(right_keys, udfs_));
 
   auto observe = [obs](bool is_left, uint64_t records, uint64_t bytes) {
     if (obs == nullptr) return;
@@ -982,11 +810,11 @@ Result<RddPtr<Row>> Executor::BuildJoinPair(
     }
   };
 
-  auto key_left = [lkeys, udfs](const Row& r) {
-    return std::make_pair(EvalKeyRow(*lkeys, r, udfs), r);
+  auto key_left = [lkeys](const Row& r) {
+    return std::make_pair(EvalKeyRow(*lkeys, r), r);
   };
-  auto key_right = [rkeys, udfs](const Row& r) {
-    return std::make_pair(EvalKeyRow(*rkeys, r, udfs), r);
+  auto key_right = [rkeys](const Row& r) {
+    return std::make_pair(EvalKeyRow(*rkeys, r), r);
   };
 
   const int fine = FineBuckets();
@@ -1013,19 +841,20 @@ Result<RddPtr<Row>> Executor::BuildJoinPair(
     }
     observe(build_is_left, build_side.size(), ApproxSizeOfRange(build_side));
     JoinTable table;
-    const std::vector<ExprPtr>& build_keys = build_is_left ? *lkeys : *rkeys;
+    const std::vector<CompiledExpr>& build_keys =
+        build_is_left ? *lkeys : *rkeys;
     for (Row& r : build_side) {
-      table[EvalKeyRow(build_keys, r, udfs)].push_back(std::move(r));
+      table[EvalKeyRow(build_keys, r)].push_back(std::move(r));
     }
     int broadcast_id = ctx_->Broadcast(std::move(table));
     auto probe_keys = build_is_left ? rkeys : lkeys;
     return RddPtr<Row>(probe->MapPartitions(
-        [broadcast_id, probe_keys, udfs, build_is_left](
+        [broadcast_id, probe_keys, build_is_left](
             int, const std::vector<Row>& in, TaskContext* tctx) {
           auto bc = GetBroadcast<JoinTable>(tctx, broadcast_id);
           std::vector<Row> out;
           for (const Row& r : in) {
-            auto it = bc->find(EvalKeyRow(*probe_keys, r, udfs));
+            auto it = bc->find(EvalKeyRow(*probe_keys, r));
             if (it == bc->end()) continue;
             for (const Row& b : it->second) {
               out.push_back(build_is_left ? ConcatRows(b, r) : ConcatRows(r, b));
@@ -1277,7 +1106,7 @@ Result<RddPtr<Row>> Executor::BuildJoinSpine(const PlanPtr& plan,
     return residuals.empty() ? nullptr : CombineConjuncts(residuals);
   };
   if (ExprPtr first_res = pending_residual(mask, nullptr)) {
-    cur = ApplyPredicate(cur, first_res, "joinResidual");
+    SHARK_ASSIGN_OR_RETURN(cur, ApplyPredicate(cur, first_res, "joinResidual"));
   }
 
   // Running composite estimate; observations overwrite it so downstream
@@ -1509,32 +1338,44 @@ Result<RddPtr<Row>> Executor::BuildJoinSpine(const PlanPtr& plan,
 
 Result<RddPtr<Row>> Executor::BuildSort(const LogicalPlan& node) {
   SHARK_ASSIGN_OR_RETURN(RddPtr<Row> child, BuildRdd(node.children[0]));
-  auto keys = std::make_shared<std::vector<ExprPtr>>(node.sort_exprs);
+  SHARK_ASSIGN_OR_RETURN(Programs keys, CompileAll(node.sort_exprs, udfs_));
   auto asc = std::make_shared<std::vector<bool>>(node.sort_ascending);
-  const UdfRegistry* udfs = udfs_;
   int64_t limit = node.limit;
 
-  auto compare = [keys, asc, udfs](const Row& a, const Row& b) {
-    for (size_t i = 0; i < keys->size(); ++i) {
-      Value va = EvalExpr(*(*keys)[i], a, udfs);
-      Value vb = EvalExpr(*(*keys)[i], b, udfs);
-      int c = va.Compare(vb);
-      if (c != 0) return (*asc)[i] ? c < 0 : c > 0;
+  auto sort_partition = [keys, asc, limit](int, const std::vector<Row>& in,
+                                           TaskContext* tctx) {
+    // Each row's sort keys are evaluated once. std::sort then permutes row
+    // indices under the row order's comparator, so it takes the same
+    // decisions as sorting the rows themselves: the output order, ties
+    // included, is identical.
+    const size_t k = keys->size();
+    std::vector<Value> key_values;
+    key_values.reserve(in.size() * k);
+    for (const Row& r : in) {
+      for (const CompiledExpr& key : *keys) key_values.push_back(key.Eval(r));
     }
-    return false;
-  };
-
-  auto sort_partition = [compare, limit](int, const std::vector<Row>& in,
-                                         TaskContext* tctx) {
-    std::vector<Row> out = in;
+    std::vector<uint32_t> order(in.size());
+    std::iota(order.begin(), order.end(), 0u);
     // External sort-merge path: a partition larger than the task's memory
     // budget is sorted as budget-sized runs spilled to local disk, then
     // k-way merged (run I/O and the merge pass charged by the context).
     tctx->ReserveOrSpillSort(ApproxSizeOfRange(in), in.size());
-    std::sort(out.begin(), out.end(), compare);
-    if (limit >= 0 && static_cast<int64_t>(out.size()) > limit) {
-      out.resize(static_cast<size_t>(limit));
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      const Value* ka = &key_values[a * k];
+      const Value* kb = &key_values[b * k];
+      for (size_t i = 0; i < k; ++i) {
+        int c = ka[i].Compare(kb[i]);
+        if (c != 0) return (*asc)[i] ? c < 0 : c > 0;
+      }
+      return false;
+    });
+    size_t n = in.size();
+    if (limit >= 0 && static_cast<int64_t>(n) > limit) {
+      n = static_cast<size_t>(limit);
     }
+    std::vector<Row> out;
+    out.reserve(n);
+    for (size_t i = 0; i < n; ++i) out.push_back(in[order[i]]);
     tctx->work().sort_records += in.size();
     tctx->work().rows_processed += in.size();
     tctx->ReleaseAllWorkingSet();
@@ -1630,8 +1471,8 @@ std::vector<std::string> NodeStageKeys(const LogicalPlan& node) {
               "prunedScan:" + node.table,    "dfs:warehouse/" + ToLower(node.table),
               "vecScanFilter:" + node.table, "vecScanProject:" + node.table};
     case PlanKind::kIndexScan:
-      return {"indexGather:" + node.table,  "vecIndexGather:" + node.table,
-              "prunedIndexScan:" + node.table, "indexFilter:" + node.table,
+      return {"indexGather:" + node.table, "prunedIndexScan:" + node.table,
+              "indexFilter:" + node.table,
               // Fallback path when the index vanished before execution.
               "memScan:" + node.table, "scanFilter:" + node.table,
               "prunedScan:" + node.table};

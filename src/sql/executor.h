@@ -33,12 +33,6 @@ struct ExecOptions {
   bool map_pruning = true;    // §3.5
   bool use_copartition = true;  // §3.4
 
-  /// Compile row-level expressions into flat postfix programs instead of
-  /// interpreting the tree (§5's "bytecode compilation", future work in the
-  /// paper, implemented here). Off by default so benches measure the
-  /// paper's configuration; the ablation/micro benches quantify the gain.
-  bool compile_expressions = false;
-
   /// Vectorized batch-at-a-time execution over cached columnar tables:
   /// scan/filter/project/group-by pipelines decode column batches and run
   /// type-specialized kernels instead of materializing Rows per operator.
@@ -196,7 +190,8 @@ class Executor {
   /// table): applies partition pruning, compiles the scan predicate, and
   /// fills `out`. Returns false — without touching metrics — when the
   /// vectorized path does not apply (flag off, table not cached in columnar
-  /// form, or the predicate does not compile).
+  /// form, or the predicate does not compile — the row path then reports
+  /// the error).
   bool PrepareVecScan(const LogicalPlan& node, vec::VecScan* out);
 
   /// Partition pruning over a cached table (updates scan metrics); shared by
@@ -204,13 +199,10 @@ class Executor {
   RddPtr<TablePartitionPtr> PruneCachedScan(TableInfo* info,
                                             const LogicalPlan& node);
 
-  /// Vectorized scan->filter->group-by fast path; returns null when not
-  /// applicable (child is not a cached scan, or an expression does not
-  /// compile).
-  Result<RddPtr<Row>> TryVecAggregate(const LogicalPlan& node);
-
-  RddPtr<Row> ApplyPredicate(RddPtr<Row> rows, const ExprPtr& predicate,
-                             const std::string& label);
+  /// Filters rows by a predicate compiled once here (error if it does not
+  /// compile); null predicate = no filter.
+  Result<RddPtr<Row>> ApplyPredicate(RddPtr<Row> rows, const ExprPtr& predicate,
+                                     const std::string& label);
 
   int FineBuckets() const;
   /// Static reducer choice for the stage rooted at `node` (Hive heuristic

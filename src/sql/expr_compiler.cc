@@ -215,21 +215,19 @@ int MaxDepth(const Expr& e) {
 }  // namespace
 
 Result<CompiledExpr> ExprCompiler::Compile(const Expr& expr) const {
-  if (MaxDepth(expr) > CompiledExpr::kMaxStackDepth) {
-    return Status::NotImplemented("expression too deep to compile");
-  }
   CompiledExpr out;
   SHARK_RETURN_NOT_OK(Emit(expr, &out));
+  out.max_depth_ = static_cast<size_t>(MaxDepth(expr));
   return out;
 }
 
 Value CompiledExpr::Eval(const Row& row) const {
-  // Fixed-size operand stack (depth validated at compile time), reused
-  // across evaluations: no allocation or Value construction per row — the
-  // key advantage over tree interpretation. Slots are always written before
-  // they are read, so stale values from earlier rows are harmless.
+  // Operand stack sized to the deepest program this thread has run and
+  // reused across evaluations: no allocation or Value construction per row —
+  // the key advantage over tree interpretation. Slots are always written
+  // before they are read, so stale values from earlier rows are harmless.
   struct Stack {
-    Value slots[kMaxStackDepth];
+    std::vector<Value> slots;
     int sp = 0;
     void push_back(Value v) { slots[sp++] = std::move(v); }
     void pop_back() { --sp; }
@@ -237,9 +235,10 @@ Value CompiledExpr::Eval(const Row& row) const {
     Value& operator[](size_t i) { return slots[i]; }
     size_t size() const { return static_cast<size_t>(sp); }
     void resize(size_t n) { sp = static_cast<int>(n); }
-    Value* end() { return slots + sp; }
+    Value* end() { return slots.data() + sp; }
   };
   thread_local Stack stack;
+  if (stack.slots.size() < max_depth_) stack.slots.resize(max_depth_);
   stack.sp = 0;
   for (const Instruction& ins : code_) {
     switch (ins.op) {

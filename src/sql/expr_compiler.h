@@ -23,10 +23,12 @@ Value EvalBinaryScalar(BinaryOp op, const Value& l, const Value& r);
 /// Expression Evaluators"): the paper observes that interpreting the
 /// Hive-generated evaluator trees dominates CPU time for in-memory data and
 /// describes compilation as work in progress. This module completes that
-/// idea for this engine: a bound Expr tree is flattened once per task into a
-/// postfix instruction sequence executed on a small value stack — no
-/// recursion, no per-node shared_ptr chasing, constants pre-materialized and
-/// LIKE patterns pre-validated.
+/// idea for this engine: the executor flattens every bound Expr tree once per
+/// operator, when it builds the RDD, into a postfix instruction sequence
+/// executed on a small value stack — no recursion, no per-node shared_ptr
+/// chasing, constants pre-materialized and LIKE patterns pre-validated. It is
+/// the executor's only row evaluator; the tree interpreter (EvalExpr) is kept
+/// for constant folding and the reference oracle.
 ///
 /// Short-circuit note: AND/OR compile to full evaluation of both operands
 /// with three-valued combination. Expressions are pure (UDFs included), so
@@ -83,11 +85,10 @@ class CompiledExpr {
     int32_t arg3 = 0;
   };
 
-  /// Maximum operand-stack depth any compiled program may need; deeper
-  /// expressions fail compilation and fall back to the interpreter.
-  static constexpr int kMaxStackDepth = 32;
-
   std::vector<Instruction> code_;
+  /// Operand-stack depth this program needs (an upper bound); Eval and
+  /// EvalBatch size their stacks to it.
+  size_t max_depth_ = 0;
   std::vector<Value> constants_;
   std::vector<std::string> builtin_names_;
   std::vector<const UdfRegistry::UdfInfo*> udfs_;

@@ -144,7 +144,9 @@ void CheckAgreement(BlockManager* bm, const ShadowModel& shadow,
           << "block (" << r << "," << p << ") step " << step;
       const CachedBlock* peeked = bm->Peek(r, p);
       ASSERT_EQ(peeked != nullptr, loc >= 0) << "step " << step;
-      if (peeked != nullptr) ASSERT_EQ(peeked->node, loc) << "step " << step;
+      if (peeked != nullptr) {
+        ASSERT_EQ(peeked->node, loc) << "step " << step;
+      }
     }
   }
 }

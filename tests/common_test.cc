@@ -223,7 +223,9 @@ TEST(SizeEncodingTest, DecodeMonotoneAcrossCodes) {
   for (int code = 1; code <= 255; ++code) {
     uint64_t d = SizeEncoding::Decode(static_cast<uint8_t>(code));
     EXPECT_GE(d, prev) << "code=" << code;
-    if (prev >= 64) EXPECT_GT(d, prev) << "code=" << code;
+    if (prev >= 64) {
+      EXPECT_GT(d, prev) << "code=" << code;
+    }
     prev = d;
   }
   EXPECT_LE(prev, SizeEncoding::kMaxSize + SizeEncoding::kMaxSize / 10);

@@ -1,8 +1,11 @@
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "common/random.h"
 #include "sql/expr_compiler.h"
 #include "sql/parser.h"
+#include "sql/reference_eval.h"
 #include "sql/session.h"
 
 namespace shark {
@@ -24,9 +27,29 @@ ExprPtr Bind(const std::string& text) {
   return *parsed;
 }
 
+/// `a IN (1, 2, ..., n)`: an operand stack n + 1 deep.
+std::string DeepInList(int n) {
+  std::string out = "a IN (";
+  for (int i = 1; i <= n; ++i) {
+    out += (i > 1 ? ", " : "") + std::to_string(i);
+  }
+  return out + ")";
+}
+
+/// A CASE with `n` WHEN branches and an ELSE: 2n + 1 operands on the stack.
+std::string DeepCase(int n) {
+  std::string out = "CASE";
+  for (int i = 1; i <= n; ++i) {
+    out += " WHEN a = " + std::to_string(i * 5) + " THEN 'v" +
+           std::to_string(i) + "'";
+  }
+  return out + " ELSE c END";
+}
+
 /// Property: compiled evaluation == interpreted evaluation, on every
 /// expression form, across many rows.
-class CompiledVsInterpretedTest : public ::testing::TestWithParam<const char*> {};
+class CompiledVsInterpretedTest
+    : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(CompiledVsInterpretedTest, Agree) {
   ExprPtr expr = Bind(GetParam());
@@ -65,7 +88,7 @@ INSTANTIATE_TEST_SUITE_P(
         "CASE WHEN a > 100 THEN 'big' WHEN a > 10 THEN 'mid' ELSE 'small' END",
         "CASE WHEN a > 1000 THEN 1 END", "COALESCE(s, a)",
         "IF(a > 50, b, 0.0 - b)", "a = 10 AND b = 2.5 OR c = 'US'",
-        "ABS(0 - a) + FLOOR(b)"));
+        "ABS(0 - a) + FLOOR(b)", DeepInList(40), DeepCase(20)));
 
 TEST(ExprCompilerTest, UdfCalls) {
   UdfRegistry udfs;
@@ -100,33 +123,61 @@ TEST(ExprCompilerTest, ProgramIsFlat) {
 }
 
 TEST(ExprCompilerTest, EndToEndQueryResultsUnchanged) {
+  // Uncached DFS tables run on the row path, where every predicate, key and
+  // sort key is a CompiledExpr; the reference oracle interprets the trees.
   ClusterConfig cfg;
   cfg.num_nodes = 3;
   cfg.hardware.cores_per_node = 2;
   SharkSession session(std::make_shared<ClusterContext>(cfg));
-  Schema schema({{"x", TypeKind::kInt64}, {"name", TypeKind::kString}});
-  std::vector<Row> rows;
+  Schema t_schema({{"x", TypeKind::kInt64}, {"name", TypeKind::kString}});
+  std::vector<Row> t_rows;
   for (int i = 0; i < 300; ++i) {
-    rows.push_back(Row({Value::Int64(i), Value::String("n" + std::to_string(i % 9))}));
+    t_rows.push_back(
+        Row({Value::Int64(i), Value::String("n" + std::to_string(i % 9))}));
   }
-  ASSERT_TRUE(session.CreateDfsTable("t", schema, rows, 3).ok());
-  const std::string q =
-      "SELECT name, COUNT(*), SUM(x * 2 + 1) FROM t WHERE x % 3 = 0 "
-      "GROUP BY name";
-  auto interpreted = session.Sql(q);
-  ASSERT_TRUE(interpreted.ok());
-  session.options().compile_expressions = true;
-  auto compiled = session.Sql(q);
-  ASSERT_TRUE(compiled.ok());
-  auto key = [](const QueryResult& r) {
-    std::multiset<std::string> out;
-    for (const Row& row : r.rows) out.insert(row.ToString());
-    return out;
+  ASSERT_TRUE(session.CreateDfsTable("t", t_schema, t_rows, 3).ok());
+  Schema u_schema({{"y", TypeKind::kInt64}, {"tag", TypeKind::kString}});
+  std::vector<Row> u_rows;
+  for (int i = 0; i < 40; ++i) {
+    u_rows.push_back(
+        Row({Value::Int64(i), Value::String("g" + std::to_string(i % 4))}));
+  }
+  ASSERT_TRUE(session.CreateDfsTable("u", u_schema, u_rows, 2).ok());
+
+  auto expect_reference = [&](const std::string& q, bool ordered) {
+    auto got = session.Sql(q);
+    ASSERT_TRUE(got.ok()) << q << ": " << got.status().ToString();
+    auto stmt = ParseStatement(q);
+    ASSERT_TRUE(stmt.ok()) << q;
+    auto want = ReferenceExecute(*stmt->select, session.catalog(),
+                                 session.context().dfs(), &session.udfs());
+    ASSERT_TRUE(want.ok()) << q << ": " << want.status().ToString();
+    std::vector<std::string> g, w;
+    for (const Row& row : got->rows) g.push_back(row.ToString());
+    for (const Row& row : want->rows) w.push_back(row.ToString());
+    if (!ordered) {
+      std::sort(g.begin(), g.end());
+      std::sort(w.begin(), w.end());
+    }
+    EXPECT_EQ(g, w) << q;
   };
-  EXPECT_EQ(key(*interpreted), key(*compiled));
-  // The compiled plan is charged less CPU for the same rows.
-  EXPECT_LE(compiled->metrics.work.rows_processed,
-            interpreted->metrics.work.rows_processed);
+
+  // Predicate.
+  expect_reference("SELECT x, name FROM t WHERE x % 3 = 0 AND name <> 'n4'",
+                   false);
+  // Expression group key.
+  expect_reference(
+      "SELECT x % 7, COUNT(*), SUM(x * 2 + 1) FROM t WHERE x > 20 "
+      "GROUP BY x % 7",
+      false);
+  // Expression join key.
+  expect_reference(
+      "SELECT t.x, u.tag FROM t JOIN u ON t.x + 1 = u.y * 3", false);
+  // ORDER BY an expression with LIMIT: every sort key value is shared by
+  // many rows, and rows tied on both keys are identical, so the expected
+  // sequence is exact.
+  expect_reference(
+      "SELECT x % 5 AS m, name FROM t ORDER BY m * -1, name LIMIT 17", true);
 }
 
 }  // namespace

@@ -145,6 +145,25 @@ TEST_F(SqlTest, OrderByAscendingFullSort) {
   }
 }
 
+TEST_F(SqlTest, OrderByAggregateOfSelectList) {
+  // avgDuration = pageRank % 10: keys 0..4 hold 3 of the 25 rows, 5..9 hold 2.
+  QueryResult r = MustQuery(
+      "SELECT avgDuration, COUNT(*) FROM rankings WHERE pageRank < 25 "
+      "GROUP BY avgDuration ORDER BY COUNT(*) DESC");
+  ASSERT_EQ(r.rows.size(), 10u);
+  for (size_t i = 0; i < r.rows.size(); ++i) {
+    const bool big = i < 5;
+    EXPECT_EQ(r.rows[i].Get(1), Value::Int64(big ? 3 : 2)) << i;
+    EXPECT_EQ(r.rows[i].Get(0).int64_v() < 5, big) << i;
+  }
+  // An aggregate sort key must name a select item: MAX(pageRank) is not one.
+  auto missing = session_->Sql(
+      "SELECT avgDuration FROM rankings GROUP BY avgDuration "
+      "ORDER BY MAX(pageRank)");
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), StatusCode::kAnalysisError);
+}
+
 TEST_F(SqlTest, LimitWithoutOrder) {
   QueryResult r = MustQuery("SELECT * FROM rankings LIMIT 7");
   EXPECT_EQ(r.rows.size(), 7u);

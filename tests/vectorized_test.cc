@@ -379,7 +379,11 @@ INSTANTIATE_TEST_SUITE_P(
         "CASE WHEN a > 100 THEN 'big' WHEN a > 10 THEN 'mid' ELSE 'small' END",
         "CASE WHEN a > 1000 THEN 1 END", "COALESCE(s, a)",
         "IF(a > 50, b, 0.0 - b)", "a = 10 AND b = 2.5 OR c = 'US'",
-        "ABS(0 - a) + FLOOR(b)", "a * a", "b * b + 1.5"));
+        "ABS(0 - a) + FLOOR(b)", "a * a", "b * b + 1.5",
+        // Needs an operand stack 37 deep.
+        "a IN (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, "
+        "19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, "
+        "36)"));
 
 TEST(EvalBatchTest, UdfFallsBackPerRow) {
   UdfRegistry udfs;
@@ -433,8 +437,9 @@ class VecSqlTest : public ::testing::Test {
           {x, Value::Double(y), Value::String("n" + std::to_string(i % 23))}));
     }
     EXPECT_TRUE(session->CreateDfsTable("t", schema, rows, 4).ok());
-    if (cache_) EXPECT_TRUE(session->CacheTable("t").ok());
-    session->options().compile_expressions = compile_;
+    if (cache_) {
+      EXPECT_TRUE(session->CacheTable("t").ok());
+    }
     return session;
   }
 
@@ -487,7 +492,6 @@ class VecSqlTest : public ::testing::Test {
   }
 
   bool cache_ = true;
-  bool compile_ = false;
 };
 
 TEST_F(VecSqlTest, ScanFilterMatchesScalar) {
@@ -546,15 +550,6 @@ TEST_F(VecSqlTest, UncachedTableFallsBackToScalar) {
   RunPair p = RunBoth(q);
   // Not cached: both runs take the scalar DFS path.
   ExpectIdentical(p, q, false);
-}
-
-TEST_F(VecSqlTest, CompiledChargesStayIdentical) {
-  // With compile_expressions on, the scalar path charges the cheaper
-  // compiled formula; the vectorized path must mirror that choice.
-  compile_ = true;
-  const std::string q =
-      "SELECT name, SUM(x) FROM t WHERE y > 1.0 GROUP BY name";
-  ExpectIdentical(RunBoth(q), q, true);
 }
 
 }  // namespace

@@ -9,8 +9,8 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-echo "=== tier-1 (plain build) ==="
-cmake -B build -S .
+echo "=== tier-1 (plain build, warnings are errors) ==="
+cmake -B build -S . -DCMAKE_CXX_FLAGS="-Werror"
 cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
