@@ -8,9 +8,10 @@
 
 namespace shark {
 
-/// SpaceSaving heavy-hitter sketch (Metwally et al.) used as a pluggable PDE
-/// statistic (§3.1: "lists of heavy hitters, i.e. items that occur frequently
-/// in the dataset"). Tracks at most `capacity` keys; any key with true
+/// SpaceSaving heavy-hitter sketch (Metwally et al.): one of §3.1's
+/// "customizable" statistics ("lists of heavy hitters, i.e. items that occur
+/// frequently in the dataset"), kept here as an ANALYZE table statistic.
+/// Tracks at most `capacity` keys; any key with true
 /// frequency > N/capacity is guaranteed to be present, and reported counts
 /// overestimate by at most the recorded `error` term.
 class HeavyHitters {

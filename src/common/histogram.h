@@ -7,9 +7,10 @@
 
 namespace shark {
 
-/// Fixed-budget approximate histogram over doubles, used as a pluggable PDE
-/// statistic (§3.1: "approximate histograms, which can be used to estimate
-/// partitions' data distributions").
+/// Fixed-budget approximate histogram over doubles: one of §3.1's
+/// "customizable" statistics ("approximate histograms, which can be used to
+/// estimate partitions' data distributions"), kept here as an ANALYZE table
+/// statistic and behind the metrics layer's latency summaries.
 ///
 /// Implementation: streaming equi-width histogram with geometric domain
 /// expansion. The first `2*bucket_count` samples are buffered exactly; once

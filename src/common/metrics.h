@@ -46,7 +46,7 @@ class Gauge {
   std::function<double()> callback_;
 };
 
-/// Distribution metric backed by the PDE ApproxHistogram; exposed as a
+/// Distribution metric backed by the shared ApproxHistogram; exposed as a
 /// Prometheus summary (quantiles + sum-less count).
 class HistogramMetric {
  public:

@@ -18,7 +18,7 @@ constexpr uint64_t kRowHashSeed = 0x9e3779b97f4a7c15ULL;
 
 inline uint64_t HashDoubleCell(double d) {
   if (std::isnan(d)) return kNanHash;
-  int64_t as_int;
+  int64_t as_int = 0;
   if (DoubleIsExactInt64(d, &as_int)) return HashInt64(as_int);
   return HashDouble(d);
 }

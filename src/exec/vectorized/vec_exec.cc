@@ -1,11 +1,8 @@
 #include "exec/vectorized/vec_exec.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
-#include "common/cardinality.h"
 #include "common/logging.h"
 #include "exec/vectorized/column_batch.h"
 #include "exec/vectorized/kernels.h"
@@ -123,10 +120,10 @@ RddPtr<Row> BuildVecScanProject(
 namespace {
 
 /// Map-side shuffle dependency of the vectorized group-by. The reduce side
-/// (ShuffledReduceRdd<Row, AggState>) is reused unchanged, so the bucket
-/// payloads, byte/record statistics and every virtual-time charge must match
-/// CombiningShuffleDep<Row, Row, AggState>'s sequence exactly; comments
-/// below mark each replicated charge.
+/// (ShuffledReduceRdd<Row, AggState>) is reused unchanged, and the groups go
+/// through the same first-seen bucketing tail as CombiningShuffleDep<Row,
+/// Row, AggState>, so bucket payloads (order included), byte/record
+/// statistics and every virtual-time charge match the scalar chain.
 class VecAggShuffleDep final : public ShuffleDependency {
  public:
   VecAggShuffleDep(
@@ -148,7 +145,6 @@ class VecAggShuffleDep final : public ShuffleDependency {
     std::vector<AggState> states;
     std::vector<uint64_t> row_hashes;  // surviving rows, input order
     uint64_t scanned = 0;
-    uint64_t fed = 0;  // rows reaching the group-by (the scalar `in.size()`)
     std::vector<ColumnVector> keycols(groups_->size());
     std::vector<const ColumnVector*> keyviews(groups_->size());
     std::vector<ColumnVector> argcols(agg_args_->size());
@@ -158,7 +154,6 @@ class VecAggShuffleDep final : public ShuffleDependency {
       ScannedPart sp = ScanFilterPart(scan_, *part, tctx);
       scanned += sp.scanned;
       const size_t m = sp.batch.num_rows;
-      fed += m;
       for (size_t b = 0; b < m; b += kBatchSize) {
         const size_t e = std::min(m, b + kBatchSize);
         const size_t w = e - b;
@@ -181,83 +176,21 @@ class VecAggShuffleDep final : public ShuffleDependency {
       }
     }
     // Charges of the replaced scalar stages, once per task like the
-    // originals: scanFilter (ApplyPredicate), aggKey (MapRdd)...
+    // originals: scanFilter (ApplyPredicate) and aggKey (MapRdd). The
+    // shared combine tail charges the rest exactly as CombiningShuffleDep.
     if (scan_.predicate != nullptr) {
       tctx->work().rows_processed +=
           ExprChargeRows(scanned, scan_.predicate_extra);
     }
-    tctx->work().rows_processed += fed;
-    // ...and CombiningShuffleDep::PartitionBlock's combine charges.
-    tctx->work().rows_processed += fed;
-    tctx->work().hash_records += fed;
-    SampleCardinality sample;
-    sample.n = static_cast<double>(fed);
-    sample.d = static_cast<double>(table.size());
-    {
-      std::unordered_set<uint64_t> first_half;
-      std::unordered_set<uint64_t> second_half;
-      size_t half = row_hashes.size() / 2;
-      for (size_t i = 0; i < row_hashes.size(); ++i) {
-        (i < half ? first_half : second_half).insert(row_hashes[i]);
-      }
-      sample.d_first = static_cast<double>(first_half.size());
-      sample.d_second = static_cast<double>(second_half.size());
-      for (uint64_t k : first_half) {
-        if (second_half.count(k) > 0) sample.overlap += 1.0;
-      }
-    }
-    double growth = DistinctGrowthFactorSplit(sample, tctx->virtual_scale());
-    double byte_adjust = growth / std::max(tctx->virtual_scale(), 1.0);
-
-    // Re-home the groups in the exact container the scalar combiner uses:
-    // same hasher and same first-seen insertion sequence give the same
-    // iteration order, so bucket payloads match the scalar path pair for
-    // pair — CollectKeyStats feeds order-sensitive heavy-hitter counters,
-    // and any order drift would nudge PDE's skew decisions.
-    std::unordered_map<Row, AggState, KeyHasher<Row>> combined;
+    tctx->work().rows_processed += row_hashes.size();
+    std::vector<std::pair<Row, AggState>> groups;
+    groups.reserve(table.size());
     for (size_t g = 0; g < table.size(); ++g) {
-      combined.emplace(table.group_keys()[g], std::move(states[g]));
+      groups.emplace_back(table.group_keys()[g], std::move(states[g]));
     }
-    std::vector<std::vector<std::pair<Row, AggState>>> buckets(
-        static_cast<size_t>(num_buckets_));
-    uint64_t distinct = combined.size();
-    for (auto& [k, c] : combined) {
-      auto b = static_cast<size_t>(KeyHash(k) %
-                                   static_cast<uint64_t>(num_buckets_));
-      buckets[b].emplace_back(k, std::move(c));
-    }
-    MapOutput out;
-    out.on_disk = tctx->profile().shuffle_through_disk;
-    out.buckets.reserve(buckets.size());
-    uint64_t out_bytes = 0;
-    uint64_t out_records = 0;
-    uint64_t raw_bytes = 0;
-    for (auto& bucket : buckets) {
-      raw_bytes += ApproxSizeOfRange(bucket);
-      uint64_t adjusted = static_cast<uint64_t>(
-          static_cast<double>(ApproxSizeOfRange(bucket)) * byte_adjust);
-      out_records += bucket.size();
-      out_bytes += adjusted;
-      out.bucket_bytes.push_back(adjusted);
-      out.bucket_records.push_back(bucket.size());
-      out.bucket_cost_scale.push_back(byte_adjust);
-      out.buckets.push_back(
-          std::make_shared<const std::vector<std::pair<Row, AggState>>>(
-              std::move(bucket)));
-    }
-    tctx->ReserveOrSpillHash(raw_bytes, distinct);
-    tctx->ReleaseAllWorkingSet();
-    internal_shuffle::ChargeMapOutputWrite(out_bytes, out_records, fed, tctx);
-    return out;
-  }
-
-  void CollectKeyStats(const BlockData& bucket, HeavyHitters* hh,
-                       ApproxHistogram* hist) const override {
-    const auto& in = *std::static_pointer_cast<
-        const std::vector<std::pair<Row, AggState>>>(bucket);
-    for (const auto& [k, c] : in) {
-      internal_shuffle::AddKeyToStats(k, hh, hist);
-    }
+    return internal_shuffle::BucketCombinedGroups(
+        std::move(groups), table.group_hashes(), row_hashes, num_buckets_,
+        tctx);
   }
 
  private:

@@ -57,8 +57,9 @@ RddPtr<Row> BuildVecScanProject(
 /// scan, filter, column-wise key hashing and batched group-table probing in
 /// one ShuffleDependency. Emits buckets of (key Row, AggState) pairs that
 /// the existing ShuffledReduceRdd<Row, AggState> consumes unchanged, with
-/// accumulation in input row order so AggStates (and therefore all shuffle
-/// byte/record statistics) are bit-identical to the scalar
+/// accumulation in input row order and groups bucketed in first-seen order
+/// by the shared combine tail, so buckets, AggStates and all shuffle
+/// byte/record statistics are bit-identical to the scalar
 /// aggKey -> CombiningShuffleDep chain. `agg_arg_programs` holds every
 /// call's argument programs flattened call by call (AccumulateArgs' layout).
 std::shared_ptr<ShuffleDependency> MakeVecAggDep(

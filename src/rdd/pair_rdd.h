@@ -46,12 +46,76 @@ inline void ChargeStageMaterialization(uint64_t bytes, TaskContext* tctx) {
   tctx->work().binary_deser_bytes += bytes;
 }
 
-template <typename K>
-void AddKeyToStats(const K& key, HeavyHitters* hh, ApproxHistogram* hist) {
-  hh->Add(KeyHash(key));
-  if constexpr (std::is_arithmetic_v<K>) {
-    hist->Add(static_cast<double>(key));
+/// The map-side tail every hash-combining shuffle shares. `groups` are the
+/// task's (key, combiner) pairs in emission (first-seen) order,
+/// `group_hashes` their KeyHash values, and `record_hashes` the key hash of
+/// every input record in input order. Charges the combine's hashing, buckets
+/// the groups by key hash (each bucket keeps emission order), pre-adjusts
+/// bucket bytes for cardinality-bounded output, reserves the combine table's
+/// working set and charges the map-output write.
+template <typename K, typename C>
+MapOutput BucketCombinedGroups(std::vector<std::pair<K, C>> groups,
+                               const std::vector<uint64_t>& group_hashes,
+                               const std::vector<uint64_t>& record_hashes,
+                               int num_buckets, TaskContext* tctx) {
+  const uint64_t n = record_hashes.size();
+  const uint64_t distinct = groups.size();
+  tctx->work().rows_processed += n;
+  tctx->work().hash_records += n;
+  // The combiner's output is bounded by the distinct keys the task sees.
+  // Fixed key populations saturate (shuffle volume stays flat at virtual
+  // scale); growing populations (unique-id-like keys) keep scaling. The
+  // split-overlap statistics distinguish the two; pre-divide the reported
+  // bytes so the cost model's uniform scaling yields faithful volumes.
+  SampleCardinality sample;
+  sample.n = static_cast<double>(n);
+  sample.d = static_cast<double>(distinct);
+  {
+    const size_t half = record_hashes.size() / 2;
+    std::unordered_set<uint64_t> first_half(record_hashes.begin(),
+                                            record_hashes.begin() + half);
+    std::unordered_set<uint64_t> second_half(record_hashes.begin() + half,
+                                             record_hashes.end());
+    sample.d_first = static_cast<double>(first_half.size());
+    sample.d_second = static_cast<double>(second_half.size());
+    for (uint64_t k : first_half) {
+      if (second_half.count(k) > 0) sample.overlap += 1.0;
+    }
   }
+  double growth = DistinctGrowthFactorSplit(sample, tctx->virtual_scale());
+  double byte_adjust = growth / std::max(tctx->virtual_scale(), 1.0);
+
+  std::vector<std::vector<std::pair<K, C>>> buckets(
+      static_cast<size_t>(num_buckets));
+  for (size_t g = 0; g < groups.size(); ++g) {
+    auto b = static_cast<size_t>(group_hashes[g] %
+                                 static_cast<uint64_t>(num_buckets));
+    buckets[b].push_back(std::move(groups[g]));
+  }
+  MapOutput out;
+  out.on_disk = tctx->profile().shuffle_through_disk;
+  out.buckets.reserve(buckets.size());
+  uint64_t out_bytes = 0;
+  uint64_t raw_bytes = 0;  // resident combine-table size, unadjusted
+  for (auto& bucket : buckets) {
+    const uint64_t bytes = ApproxSizeOfRange(bucket);
+    raw_bytes += bytes;
+    uint64_t adjusted =
+        static_cast<uint64_t>(static_cast<double>(bytes) * byte_adjust);
+    out_bytes += adjusted;
+    out.bucket_bytes.push_back(adjusted);
+    out.bucket_records.push_back(bucket.size());
+    out.bucket_cost_scale.push_back(byte_adjust);
+    out.buckets.push_back(
+        std::make_shared<const std::vector<std::pair<K, C>>>(std::move(bucket)));
+  }
+  // The combine table held one (key, combiner) pair per distinct key;
+  // when it exceeds the task's budget the combiner degrades to grace-hash
+  // partitioning (spill I/O charged by the context).
+  tctx->ReserveOrSpillHash(raw_bytes, distinct);
+  tctx->ReleaseAllWorkingSet();
+  ChargeMapOutputWrite(out_bytes, distinct, n, tctx);
+  return out;
 }
 
 }  // namespace internal_shuffle
@@ -63,14 +127,10 @@ template <typename T>
 class PlainShuffleDep final : public ShuffleDependency {
  public:
   using BucketFn = std::function<int(const T&)>;
-  using StatsFn = std::function<void(const T&, HeavyHitters*, ApproxHistogram*)>;
 
-  PlainShuffleDep(RddPtr<T> parent, int num_buckets, BucketFn bucket_fn,
-                  StatsFn stats_fn = nullptr)
+  PlainShuffleDep(RddPtr<T> parent, int num_buckets, BucketFn bucket_fn)
       : ShuffleDependency(parent, num_buckets),
-        typed_parent_(parent),
-        bucket_fn_(std::move(bucket_fn)),
-        stats_fn_(std::move(stats_fn)) {}
+        bucket_fn_(std::move(bucket_fn)) {}
 
   MapOutput PartitionBlock(const BlockData& block,
                            TaskContext* tctx) const override {
@@ -95,19 +155,8 @@ class PlainShuffleDep final : public ShuffleDependency {
     return out;
   }
 
-  void CollectKeyStats(const BlockData& bucket, HeavyHitters* hh,
-                       ApproxHistogram* hist) const override {
-    if (!stats_fn_) return;
-    const auto& in = *std::static_pointer_cast<const std::vector<T>>(bucket);
-    for (const T& x : in) stats_fn_(x, hh, hist);
-  }
-
-  const RddPtr<T>& typed_parent() const { return typed_parent_; }
-
  private:
-  RddPtr<T> typed_parent_;
   BucketFn bucket_fn_;
-  StatsFn stats_fn_;
 };
 
 /// Convenience: hash-partition a key-value RDD by key.
@@ -116,13 +165,9 @@ std::shared_ptr<PlainShuffleDep<std::pair<K, V>>> MakeHashPartitionDep(
     RddPtr<std::pair<K, V>> parent, int num_buckets) {
   using P = std::pair<K, V>;
   return std::make_shared<PlainShuffleDep<P>>(
-      parent, num_buckets,
-      [num_buckets](const P& p) {
+      parent, num_buckets, [num_buckets](const P& p) {
         return static_cast<int>(KeyHash(p.first) %
                                 static_cast<uint64_t>(num_buckets));
-      },
-      [](const P& p, HeavyHitters* hh, ApproxHistogram* hist) {
-        internal_shuffle::AddKeyToStats(p.first, hh, hist);
       });
 }
 
@@ -138,7 +183,6 @@ class CombiningShuffleDep final : public ShuffleDependency {
   CombiningShuffleDep(RddPtr<std::pair<K, V>> parent, int num_buckets,
                       CreateFn create, MergeValueFn merge_value)
       : ShuffleDependency(parent, num_buckets),
-        typed_parent_(parent),
         create_(std::move(create)),
         merge_value_(std::move(merge_value)) {}
 
@@ -148,89 +192,29 @@ class CombiningShuffleDep final : public ShuffleDependency {
         *std::static_pointer_cast<const std::vector<std::pair<K, V>>>(block);
     // Combine across the whole task first, THEN split into buckets: the map
     // task ships at most one record per distinct key regardless of how
-    // fine-grained the bucket count is.
-    std::unordered_map<K, C, KeyHasher<K>> combined;
+    // fine-grained the bucket count is. Groups are emitted in first-seen
+    // order.
+    std::vector<std::pair<K, C>> groups;
+    std::vector<uint64_t> group_hashes;
+    std::vector<uint64_t> record_hashes;
+    record_hashes.reserve(in.size());
+    std::unordered_map<K, size_t, KeyHasher<K>> index;
     for (const auto& [k, v] : in) {
-      auto it = combined.find(k);
-      if (it == combined.end()) {
-        combined.emplace(k, create_(v));
+      const uint64_t h = KeyHash(k);
+      record_hashes.push_back(h);
+      auto [it, fresh] = index.try_emplace(k, groups.size());
+      if (fresh) {
+        groups.emplace_back(k, create_(v));
+        group_hashes.push_back(h);
       } else {
-        merge_value_(it->second, v);
+        merge_value_(groups[it->second].second, v);
       }
     }
-    tctx->work().rows_processed += in.size();
-    tctx->work().hash_records += in.size();
-    // The combiner's output is bounded by the distinct keys the task sees.
-    // Fixed key populations saturate (shuffle volume stays flat at virtual
-    // scale); growing populations (unique-id-like keys) keep scaling. The
-    // split-overlap statistics distinguish the two; pre-divide the reported
-    // bytes so the cost model's uniform scaling yields faithful volumes.
-    SampleCardinality sample;
-    sample.n = static_cast<double>(in.size());
-    sample.d = static_cast<double>(combined.size());
-    {
-      std::unordered_set<uint64_t> first_half;
-      std::unordered_set<uint64_t> second_half;
-      size_t half = in.size() / 2;
-      for (size_t i = 0; i < in.size(); ++i) {
-        (i < half ? first_half : second_half).insert(KeyHash(in[i].first));
-      }
-      sample.d_first = static_cast<double>(first_half.size());
-      sample.d_second = static_cast<double>(second_half.size());
-      for (uint64_t k : first_half) {
-        if (second_half.count(k) > 0) sample.overlap += 1.0;
-      }
-    }
-    double growth = DistinctGrowthFactorSplit(sample, tctx->virtual_scale());
-    double byte_adjust = growth / std::max(tctx->virtual_scale(), 1.0);
-
-    std::vector<std::vector<std::pair<K, C>>> buckets(
-        static_cast<size_t>(num_buckets_));
-    uint64_t distinct = combined.size();
-    for (auto& [k, c] : combined) {
-      auto b = static_cast<size_t>(KeyHash(k) %
-                                   static_cast<uint64_t>(num_buckets_));
-      buckets[b].emplace_back(k, std::move(c));
-    }
-    MapOutput out;
-    out.on_disk = tctx->profile().shuffle_through_disk;
-    out.buckets.reserve(buckets.size());
-    uint64_t out_bytes = 0;
-    uint64_t out_records = 0;
-    uint64_t raw_bytes = 0;  // resident combine-table size, unadjusted
-    for (auto& bucket : buckets) {
-      raw_bytes += ApproxSizeOfRange(bucket);
-      uint64_t adjusted = static_cast<uint64_t>(
-          static_cast<double>(ApproxSizeOfRange(bucket)) * byte_adjust);
-      out_records += bucket.size();
-      out_bytes += adjusted;
-      out.bucket_bytes.push_back(adjusted);
-      out.bucket_records.push_back(bucket.size());
-      out.bucket_cost_scale.push_back(byte_adjust);
-      out.buckets.push_back(
-          std::make_shared<const std::vector<std::pair<K, C>>>(std::move(bucket)));
-    }
-    // The combine table held one (key, combiner) pair per distinct key;
-    // when it exceeds the task's budget the combiner degrades to grace-hash
-    // partitioning (spill I/O charged by the context).
-    tctx->ReserveOrSpillHash(raw_bytes, distinct);
-    tctx->ReleaseAllWorkingSet();
-    internal_shuffle::ChargeMapOutputWrite(out_bytes, out_records, in.size(),
-                                           tctx);
-    return out;
-  }
-
-  void CollectKeyStats(const BlockData& bucket, HeavyHitters* hh,
-                       ApproxHistogram* hist) const override {
-    const auto& in =
-        *std::static_pointer_cast<const std::vector<std::pair<K, C>>>(bucket);
-    for (const auto& [k, c] : in) {
-      internal_shuffle::AddKeyToStats(k, hh, hist);
-    }
+    return internal_shuffle::BucketCombinedGroups(
+        std::move(groups), group_hashes, record_hashes, num_buckets_, tctx);
   }
 
  private:
-  RddPtr<std::pair<K, V>> typed_parent_;
   CreateFn create_;
   MergeValueFn merge_value_;
 };

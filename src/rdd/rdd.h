@@ -89,8 +89,8 @@ struct KeyHasher {
 class RddBase;
 
 /// Type-erased map-side description of a shuffle: how to split a parent
-/// block into fine-grained reduce buckets, and how to measure/statistic the
-/// buckets. Registered with the ShuffleManager at construction; the id is
+/// block into fine-grained reduce buckets and how large each bucket is.
+/// Registered with the ShuffleManager at construction; the id is
 /// what reduce tasks fetch by and what PDE consults stats for.
 class ShuffleDependency {
  public:
@@ -108,10 +108,6 @@ class ShuffleDependency {
   /// scaling yields faithful shuffle volumes.
   virtual MapOutput PartitionBlock(const BlockData& block,
                                    TaskContext* tctx) const = 0;
-
-  /// Folds the bucket's keys into the PDE statistics sketches.
-  virtual void CollectKeyStats(const BlockData& bucket, HeavyHitters* hh,
-                               ApproxHistogram* hist) const = 0;
 
  protected:
   ShuffleDependency(std::shared_ptr<RddBase> parent, int num_buckets);

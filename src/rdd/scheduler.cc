@@ -253,12 +253,6 @@ Status DagScheduler::RunMapTasks(const std::shared_ptr<ShuffleDependency>& dep,
   auto commit = [&](int i, TaskOutcome&& o, int node) {
     int p = map_partitions[static_cast<size_t>(i)];
     o.map_output.node = node;
-    if (!sm.StatsRecorded(shuffle_id, p)) {
-      ShuffleStats* stats = sm.MutableStats(shuffle_id);
-      for (const BlockData& b : o.map_output.buckets) {
-        dep->CollectKeyStats(b, &stats->heavy_hitters, &stats->key_histogram);
-      }
-    }
     sm.PutMapOutput(shuffle_id, p, std::move(o.map_output));
   };
   auto lost = [&](int /*node*/) {

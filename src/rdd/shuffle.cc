@@ -117,17 +117,6 @@ const ShuffleStats& ShuffleManager::Stats(int shuffle_id) const {
   return GetState(shuffle_id).stats;
 }
 
-bool ShuffleManager::StatsRecorded(int shuffle_id, int map_partition) const {
-  return GetState(shuffle_id).stats_recorded[static_cast<size_t>(map_partition)] !=
-         0;
-}
-
-ShuffleStats* ShuffleManager::MutableStats(int shuffle_id) {
-  auto it = shuffles_.find(shuffle_id);
-  SHARK_CHECK(it != shuffles_.end());
-  return &it->second.stats;
-}
-
 void ShuffleManager::DropNode(int node) {
   for (auto& [id, state] : shuffles_) {
     for (auto& out : state.outputs) {

@@ -5,8 +5,6 @@
 #include <map>
 #include <vector>
 
-#include "common/heavy_hitters.h"
-#include "common/histogram.h"
 #include "sim/dfs.h"
 
 namespace shark {
@@ -16,14 +14,14 @@ class MemoryManager;
 /// Statistics the master aggregates from map tasks at a shuffle boundary —
 /// the raw material for Partial DAG Execution (§3.1). Bucket byte sizes pass
 /// through the 1-byte lossy logarithmic encoding before aggregation, exactly
-/// as the paper bounds per-task statistics reports to 1-2 KB.
+/// as the paper bounds per-task statistics reports to 1-2 KB. Every PDE
+/// decision (reducer count, join strategy, skew report) reads only these
+/// sizes; key sketches are ANALYZE table statistics (sql/stats).
 struct ShuffleStats {
   std::vector<uint64_t> bucket_bytes;    // per fine-grained reduce bucket
   std::vector<uint64_t> bucket_records;
   uint64_t total_bytes = 0;
   uint64_t total_records = 0;
-  HeavyHitters heavy_hitters{64};
-  ApproxHistogram key_histogram{64};
 };
 
 /// Output of one map task of a shuffle: one bucket per fine-grained reduce
@@ -80,13 +78,6 @@ class ShuffleManager {
   std::vector<int> MissingMapPartitions(int shuffle_id) const;
 
   const ShuffleStats& Stats(int shuffle_id) const;
-
-  /// Whether map partition `p`'s statistics were already folded in (guards
-  /// sketch double-counting on recomputation).
-  bool StatsRecorded(int shuffle_id, int map_partition) const;
-
-  /// Mutable stats for the scheduler's sketch aggregation.
-  ShuffleStats* MutableStats(int shuffle_id);
 
   /// Marks outputs on a failed node as lost.
   void DropNode(int node);

@@ -136,7 +136,7 @@ bool Value::operator==(const Value& other) const {
     }
     const double d = kind_ == TypeKind::kDouble ? d_ : other.d_;
     const int64_t i = kind_ == TypeKind::kDouble ? other.i_ : i_;
-    int64_t as_int;
+    int64_t as_int = 0;
     return DoubleIsExactInt64(d, &as_int) && as_int == i;
   }
   return false;
@@ -190,7 +190,7 @@ uint64_t Value::Hash() const {
       // doubles; NaNs are canonicalized because operator== treats all NaNs
       // as equal.
       if (std::isnan(d_)) return 0xfff8dececa5eba11ULL;
-      int64_t as_int;
+      int64_t as_int = 0;
       if (DoubleIsExactInt64(d_, &as_int)) return HashInt64(as_int);
       return HashDouble(d_);
     }

@@ -343,6 +343,12 @@ Result<RddPtr<Row>> Executor::ApplyPredicate(RddPtr<Row> rows,
       label));
 }
 
+Executor::Executor(ClusterContext* ctx, Catalog* catalog,
+                   const UdfRegistry* udfs, const ExecOptions& options)
+    : ctx_(ctx), catalog_(catalog), udfs_(udfs), options_(options) {
+  if (options_.host_threads >= 0) ctx_->set_host_threads(options_.host_threads);
+}
+
 Result<RddPtr<Row>> Executor::BuildRdd(const PlanPtr& plan) {
   switch (plan->kind) {
     case PlanKind::kScan:
@@ -1412,7 +1418,6 @@ Result<RddPtr<Row>> Executor::BuildLimit(const LogicalPlan& node) {
 
 Result<QueryResult> Executor::ExecuteInner(const PlanPtr& plan) {
   metrics_ = QueryMetrics();
-  if (options_.host_threads >= 0) ctx_->set_host_threads(options_.host_threads);
   double start = ctx_->now();
   SHARK_ASSIGN_OR_RETURN(RddPtr<Row> rdd, BuildRdd(plan));
   SHARK_ASSIGN_OR_RETURN(std::vector<Row> rows, CollectTracked(rdd));

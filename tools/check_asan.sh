@@ -10,7 +10,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-asan}"
 
-cmake -B "$BUILD_DIR" -S . -DSHARK_SANITIZE=address
+cmake -B "$BUILD_DIR" -S . -DSHARK_SANITIZE=address -DCMAKE_CXX_FLAGS="-Werror"
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target shark_tests
 
 ASAN_OPTIONS="halt_on_error=1 detect_stack_use_after_return=1" \

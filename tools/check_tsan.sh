@@ -10,7 +10,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-tsan}"
 
-cmake -B "$BUILD_DIR" -S . -DSHARK_SANITIZE=thread
+cmake -B "$BUILD_DIR" -S . -DSHARK_SANITIZE=thread -DCMAKE_CXX_FLAGS="-Werror"
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target shark_tests
 
 # halt_on_error: fail fast, and second_deadlock_stack for lock diagnostics.

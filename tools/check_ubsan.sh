@@ -11,7 +11,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-ubsan}"
 
-cmake -B "$BUILD_DIR" -S . -DSHARK_SANITIZE=undefined
+cmake -B "$BUILD_DIR" -S . -DSHARK_SANITIZE=undefined -DCMAKE_CXX_FLAGS="-Werror"
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target shark_tests --target shark_fuzz
 
 UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \

@@ -112,7 +112,7 @@ echo "=== concurrent jobs under ThreadSanitizer ==="
 # thread-per-connection front-end are the only places engine state crosses
 # host threads; a race here breaks the determinism guarantee silently, so
 # these tests get a dedicated TSan pass before the full-suite one below.
-cmake -B build-tsan -S . -DSHARK_SANITIZE=thread
+cmake -B build-tsan -S . -DSHARK_SANITIZE=thread -DCMAKE_CXX_FLAGS="-Werror"
 cmake --build build-tsan -j "$(nproc)" --target shark_tests
 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
   build-tsan/tests/shark_tests --gtest_filter='ConcurrentJobsTest.*:FailingQueryCleanupTest.*:DeterminismTest.ConcurrentJobs*:DeterminismTest.Indexed*:DeterminismTest.Observability*:IndexSqlTest.*:ServerTest.*:HttpListenerTest.*'
