@@ -68,7 +68,8 @@ int main() {
   p.memory_store = true;
   rows.push_back({"+ columnar memstore (Shark)", RunWithProfile(session.get(), p, true, query), ""});
 
-  PrintBars("rankings-uservisits join under cumulative knobs", rows);
+  PrintBars("ablation", "join", "rankings-uservisits join under cumulative knobs",
+            rows);
   std::printf("\nend-to-end: %.0fx from baseline to full Shark\n",
               Ratio(rows.front().seconds, rows.back().seconds));
   return 0;

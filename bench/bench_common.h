@@ -2,6 +2,7 @@
 #define SHARK_BENCH_BENCH_COMMON_H_
 
 #include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -81,6 +82,47 @@ inline TimedResult TimedRunWall(SharkSession* session, const std::string& sql) {
   return {result.metrics.virtual_seconds, timer.ElapsedMs()};
 }
 
+/// Which clock a measurement was taken on: simulated seconds (deterministic),
+/// host wall-clock (noisy), or a count/size that involves no clock at all.
+enum class Clock { kVirtual, kHost, kCount };
+
+/// Prints one measurement as the machine-readable line tools/bench_gate
+/// checks against bench/claims.json:
+///   BENCH {"bench":...,"label":...,"metric":...,"value":...,"unit":...,
+///          "clock":"virtual"|"host"|"count"}
+/// A claim selects lines as `bench/label/metric`, so none of the three may
+/// contain '/'.
+inline void EmitBench(const std::string& bench, const std::string& label,
+                      const std::string& metric, double value,
+                      const std::string& unit, Clock clock) {
+  static const char* const kClockNames[] = {"virtual", "host", "count"};
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("bench").String(bench);
+  w.Key("label").String(label);
+  w.Key("metric").String(metric);
+  w.Key("value").FixedDouble(value, 6);
+  w.Key("unit").String(unit);
+  w.Key("clock").String(kClockNames[static_cast<int>(clock)]);
+  w.EndObject();
+  std::printf("BENCH %s\n", w.str().c_str());
+}
+
+/// Lower-cases `text` and turns every run of other characters into one '_':
+/// "Shark (disk)" -> "shark_disk". Bar labels become BENCH labels this way.
+inline std::string Slug(const std::string& text) {
+  std::string out;
+  for (char c : text) {
+    if (std::isalnum(static_cast<unsigned char>(c))) {
+      out += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    } else if (!out.empty() && out.back() != '_') {
+      out += '_';
+    }
+  }
+  while (!out.empty() && out.back() == '_') out.pop_back();
+  return out;
+}
+
 struct BarRow {
   std::string label;
   double seconds;
@@ -89,8 +131,11 @@ struct BarRow {
 };
 
 /// Prints a Figure-style horizontal bar chart with a virtual-seconds column,
-/// plus the host wall-clock per row when measured.
-inline void PrintBars(const std::string& title, const std::vector<BarRow>& rows,
+/// plus the host wall-clock per row when measured. Every bar is also emitted
+/// as a BENCH line labelled `<chart>.<Slug(row label)>` with metric
+/// `virtual_s` (and `host_ms` when measured).
+inline void PrintBars(const std::string& bench, const std::string& chart,
+                      const std::string& title, const std::vector<BarRow>& rows,
                       const std::string& paper_note = "") {
   std::printf("\n== %s ==\n", title.c_str());
   if (!paper_note.empty()) std::printf("   paper: %s\n", paper_note.c_str());
@@ -107,51 +152,36 @@ inline void PrintBars(const std::string& title, const std::vector<BarRow>& rows,
                   bar.c_str(), r.note.c_str());
     }
   }
+  for (const auto& r : rows) {
+    const std::string label = chart + "." + Slug(r.label);
+    EmitBench(bench, label, "virtual_s", r.seconds, "s", Clock::kVirtual);
+    if (r.host_ms >= 0.0) {
+      EmitBench(bench, label, "host_ms", r.host_ms, "ms", Clock::kHost);
+    }
+  }
 }
 
-/// Machine-readable perf-trajectory line, one JSON object per measurement:
-///   BENCH_parallel.json {"bench":...,"label":...,"host_threads":N,
-///                        "host_ms":...,"virtual_seconds":...}
-/// host_threads is the *configured* value (0 = all hardware threads).
-inline void EmitParallelJson(const std::string& bench, const std::string& label,
-                             int host_threads, double host_ms,
-                             double virtual_seconds) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("bench").String(bench);
-  w.Key("label").String(label);
-  w.Key("host_threads").Int(host_threads);
-  w.Key("host_ms").FixedDouble(host_ms, 3);
-  w.Key("virtual_seconds").FixedDouble(virtual_seconds, 6);
-  w.EndObject();
-  std::printf("BENCH_parallel.json %s\n", w.str().c_str());
+/// One run of a host-parallel comparison: the host wall-clock and summed
+/// virtual seconds under a configured host_threads (0 = all hardware
+/// threads), labelled `<label>.threads<N>`.
+inline void EmitParallel(const std::string& bench, const std::string& label,
+                         int host_threads, double host_ms,
+                         double virtual_seconds) {
+  const std::string run = label + ".threads" + std::to_string(host_threads);
+  EmitBench(bench, run, "host_ms", host_ms, "ms", Clock::kHost);
+  EmitBench(bench, run, "virtual_s", virtual_seconds, "s", Clock::kVirtual);
 }
 
-/// Machine-readable vectorized-vs-scalar line, one JSON object per query:
-///   BENCH_vector.json {"bench":...,"label":...,"host_ms_on":...,
-///                      "host_ms_off":...,"wall_speedup":...}
-/// Deliberately omits "virtual_seconds": wall-clock is noisy host time, so
-/// these lines bypass the bench_gate timing diff and are checked against the
-/// conservative `vector_floors` in bench/bench_baseline.json instead.
-inline void EmitVectorJson(const std::string& bench, const std::string& label,
-                           double host_ms_on, double host_ms_off) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("bench").String(bench);
-  w.Key("label").String(label);
-  w.Key("host_ms_on").FixedDouble(host_ms_on, 3);
-  w.Key("host_ms_off").FixedDouble(host_ms_off, 3);
-  w.Key("wall_speedup")
-      .FixedDouble(host_ms_on > 0 ? host_ms_off / host_ms_on : 0.0, 3);
-  w.EndObject();
-  std::printf("BENCH_vector.json %s\n", w.str().c_str());
+inline double Ratio(double slow, double fast) {
+  return fast > 0 ? slow / fast : 0.0;
 }
 
 /// Runs `sql` with the vectorized flag on and off (restoring it afterwards),
 /// checks the virtual seconds are identical (the batch path is a pure
-/// host-side optimization; exits on drift) and emits the BENCH_vector.json
-/// line. Returns {on, off} host milliseconds. Each variant runs `reps` times
-/// and keeps the fastest wall-clock to damp scheduler noise.
+/// host-side optimization; exits on drift) and emits both host times and the
+/// speedup (off / on) that bench/claims.json floors. Returns {on, off} host
+/// milliseconds. Each variant runs `reps` times and keeps the fastest
+/// wall-clock to damp scheduler noise.
 inline std::pair<double, double> CompareVectorized(SharkSession* session,
                                                    const std::string& bench,
                                                    const std::string& label,
@@ -183,7 +213,10 @@ inline std::pair<double, double> CompareVectorized(SharkSession* session,
                  bench.c_str(), label.c_str(), virt[0], virt[1]);
     std::exit(1);
   }
-  EmitVectorJson(bench, label, best[0], best[1]);
+  EmitBench(bench, label, "host_ms_vec", best[0], "ms", Clock::kHost);
+  EmitBench(bench, label, "host_ms_row", best[1], "ms", Clock::kHost);
+  EmitBench(bench, label, "wall_speedup", Ratio(best[1], best[0]), "x",
+            Clock::kHost);
   return {best[0], best[1]};
 }
 
@@ -228,7 +261,8 @@ inline void WriteChromeTrace(const std::string& bench, const std::string& label,
 /// decimated cluster/per-node utilization series, and the counters:
 ///   BENCH_metrics.json {"bench":...,"label":...,"file":...,"metrics":{...}}
 /// Everything in it is a virtual-time observable, so the line is
-/// byte-identical across host thread counts; tools/bench_gate consumes it.
+/// byte-identical across host thread counts. The timeline file is what
+/// `tools/bench_gate --validate-timeline` checks.
 inline void EmitMetricsJson(const std::string& bench, const std::string& label,
                             ClusterContext& ctx,
                             const std::string& timeline_path) {
@@ -302,10 +336,6 @@ inline void PrintHeader(const std::string& name, const std::string& claim) {
   std::printf("%s\n", name.c_str());
   std::printf("reproduces: %s\n", claim.c_str());
   std::printf("=====================================================\n");
-}
-
-inline double Ratio(double slow, double fast) {
-  return fast > 0 ? slow / fast : 0.0;
 }
 
 }  // namespace bench

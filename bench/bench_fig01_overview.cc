@@ -57,13 +57,13 @@ int main() {
   double lr_shark = train(ml_session.get(), true);
   double lr_hadoop = train(ml_hive.get(), false);
 
-  PrintBars("User Query 1",
+  PrintBars("fig01", "q1", "User Query 1",
             {{"Shark", q1_shark, ""}, {"Hive", q1_hive, ""}},
             "paper: 1.0s vs ~80s");
-  PrintBars("User Query 2",
+  PrintBars("fig01", "q2", "User Query 2",
             {{"Shark", q2_shark, ""}, {"Hive", q2_hive, ""}},
             "paper: 0.7s vs ~55s");
-  PrintBars("Logistic regression (1 iteration)",
+  PrintBars("fig01", "lr", "Logistic regression (1 iteration)",
             {{"Shark", lr_shark, ""}, {"Hadoop", lr_hadoop, ""}},
             "paper: 0.96s vs ~110s");
 

@@ -14,8 +14,8 @@ using namespace shark::bench; // NOLINT(build/namespaces)
 namespace {
 
 /// Cached-query wall-clock with the batch path on vs off. `bench` names the
-/// BENCH_vector.json lines ("fig05_vector" full-size, "fig05_vector_smoke"
-/// CI-sized); the tables must already be cached.
+/// BENCH lines ("fig05_vector" full-size, "fig05_vector_smoke" CI-sized); the
+/// tables must already be cached.
 void RunVectorComparison(SharkSession* session, const std::string& bench,
                          const std::string& selection,
                          const std::string& agg_coarse) {
@@ -34,7 +34,7 @@ void RunVectorComparison(SharkSession* session, const std::string& bench,
 
 int main(int argc, char** argv) {
   // --vector-smoke: CI-sized run of only the vectorized on/off comparison
-  // (shrunken tables; lines feed tools/bench_gate's vector_floors).
+  // (shrunken tables; bench/claims.json floors its speedups).
   bool vector_smoke = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--vector-smoke") == 0) vector_smoke = true;
@@ -95,17 +95,18 @@ int main(int argc, char** argv) {
   double fine_hive = TimedRun(hive.get(), agg_fine);
   double coarse_hive = TimedRun(hive.get(), agg_coarse);
 
-  PrintBars("Selection (WHERE pageRank > X)",
+  PrintBars("fig05", "selection", "Selection (WHERE pageRank > X)",
             {{"Shark", sel_mem, ""},
              {"Shark (disk)", sel_disk, ""},
              {"Hive", sel_hive, ""}},
             "Shark 1.1s vs Hive ~80x slower");
-  PrintBars("Aggregation, many groups (sourceIP)",
+  PrintBars("fig05", "agg_fine", "Aggregation, many groups (sourceIP)",
             {{"Shark", fine_mem, ""},
              {"Shark (disk)", fine_disk, ""},
              {"Hive", fine_hive, ""}},
             "Shark 147s, Hive ~2500s at 2.5M groups");
-  PrintBars("Aggregation, ~1K groups (SUBSTR(sourceIP,1,7))",
+  PrintBars("fig05", "agg_coarse",
+            "Aggregation, ~1K groups (SUBSTR(sourceIP,1,7))",
             {{"Shark", coarse_mem, ""},
              {"Shark (disk)", coarse_disk, ""},
              {"Hive", coarse_hive, ""}},

@@ -47,7 +47,7 @@ int main() {
 
   double hive_time = TimedRun(hive.get(), join);
 
-  PrintBars("Join query runtime",
+  PrintBars("fig06", "join", "Join query runtime",
             {{"Copartitioned", copart, copart_result.metrics.join_strategy},
              {"Shark", mem, mem_result.metrics.join_strategy},
              {"Shark (disk)", disk, ""},

@@ -29,13 +29,14 @@ void RunScale(const ScalePoint& scale) {
 
   struct QueryPoint {
     const char* label;
+    const char* chart;
     std::string column;
   };
   const QueryPoint queries[] = {
-      {"1 group (COUNT(*))", ""},
-      {"7 groups (SHIPMODE)", "L_SHIPMODE"},
-      {"~2.5K groups (RECEIPTDATE)", "L_RECEIPTDATE"},
-      {"per-order groups (ORDERKEY)", "L_ORDERKEY"},
+      {"1 group (COUNT(*))", "count", ""},
+      {"7 groups (SHIPMODE)", "shipmode", "L_SHIPMODE"},
+      {"~2.5K groups (RECEIPTDATE)", "receiptdate", "L_RECEIPTDATE"},
+      {"per-order groups (ORDERKEY)", "orderkey", "L_ORDERKEY"},
   };
 
   std::printf("\n---- TPC-H %s (lineitem %lld rows, virtual scale x%.0f) ----\n",
@@ -52,7 +53,8 @@ void RunScale(const ScalePoint& scale) {
     double mem = TimedRun(session.get(), sql);
     double tuned = TimedRun(hive_tuned.get(), sql);
     double untuned = TimedRun(hive_default.get(), sql);
-    PrintBars(std::string(scale.name) + " " + queries[q].label,
+    PrintBars("fig07", Slug(scale.name) + "_" + queries[q].chart,
+              std::string(scale.name) + " " + queries[q].label,
               {{"Shark", mem, ""},
                {"Shark (disk)", disk[q], ""},
                {"Hive (tuned)", tuned, ""},
@@ -95,10 +97,8 @@ void RunHostParallel() {
   for (double v : virt_serial) vsum_serial += v;
   for (double v : virt_pool) vsum_pool += v;
   bool identical = virt_serial == virt_pool;
-  EmitParallelJson("fig07_tpch_agg", "agg4_cached_100GB", 1, ms_serial,
-                   vsum_serial);
-  EmitParallelJson("fig07_tpch_agg", "agg4_cached_100GB", 0, ms_pool,
-                   vsum_pool);
+  EmitParallel("fig07", "agg4_cached_100gb", 1, ms_serial, vsum_serial);
+  EmitParallel("fig07", "agg4_cached_100gb", 0, ms_pool, vsum_pool);
   std::printf("  host_threads=1: %8.1fms host, %.4fs virtual\n", ms_serial,
               vsum_serial);
   std::printf("  host_threads=0: %8.1fms host, %.4fs virtual\n", ms_pool,

@@ -44,11 +44,11 @@ double RunWith(SharkSession* session, JoinOptimization mode,
 
 int main(int argc, char** argv) {
   // --smoke: CI-sized run (shrunken tables, 20 nodes) with identical query
-  // shapes; its BENCH_*.json lines feed tools/bench_gate and the timeline
+  // shapes; its BENCH lines feed tools/bench_gate and its timeline file the
   // schema validation. --metrics-out <path> overrides the timeline file.
-  // --no-vectorized: force the scalar row path; the BENCH lines must still
-  // match the committed baseline byte-for-byte in virtual seconds (CI runs
-  // the smoke both ways to prove the batch path never moves virtual time).
+  // --no-vectorized: force the scalar row path; the virtual seconds must
+  // still match the pins in bench/claims.json (CI runs the smoke both ways
+  // to prove the batch path never moves virtual time).
   bool smoke = false;
   bool vectorized = true;
   std::string metrics_out = "fig08_metrics.json";
@@ -94,19 +94,17 @@ int main(int argc, char** argv) {
   double t_both = RunWith(session.get(), JoinOptimization::kStaticAdaptive,
                           &s_both, &ms_both);
 
-  PrintBars("lineitem JOIN supplier WHERE SOME_UDF(S_ADDRESS)",
-            {{"Static + Adaptive", t_both, s_both},
-             {"Adaptive", t_adaptive, s_adaptive},
-             {"Static", t_static, s_static}},
+  const std::string bench = smoke ? "fig08_smoke" : "fig08";
+  PrintBars(bench, "pde_join",
+            "lineitem JOIN supplier WHERE SOME_UDF(S_ADDRESS)",
+            {{"Static + Adaptive", t_both, s_both, ms_both},
+             {"Adaptive", t_adaptive, s_adaptive, ms_adaptive},
+             {"Static", t_static, s_static, ms_static}},
             "paper: ~35s / ~65s / ~105s");
   std::printf("\nimprovement over static: adaptive %.2fx, "
               "static+adaptive %.2fx (paper: ~3x)\n",
               Ratio(t_static, t_adaptive), Ratio(t_static, t_both));
 
-  const std::string bench = smoke ? "fig08_smoke" : "fig08";
-  EmitParallelJson(bench, "static", 0, ms_static, t_static);
-  EmitParallelJson(bench, "adaptive", 0, ms_adaptive, t_adaptive);
-  EmitParallelJson(bench, "static_adaptive", 0, ms_both, t_both);
   EmitMetricsJson(bench, "pde_join", session->context(), metrics_out);
   return 0;
 }

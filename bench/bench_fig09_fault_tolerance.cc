@@ -40,7 +40,8 @@ int main() {
 
   double full_reload = load_seconds + no_failure;
 
-  PrintBars("SELECT L_SHIPMODE, COUNT(*) ... GROUP BY (100GB lineitem)",
+  PrintBars("fig09", "agg_shipmode",
+            "SELECT L_SHIPMODE, COUNT(*) ... GROUP BY (100GB lineitem)",
             {{"No failures", no_failure, ""},
              {"Single failure", with_failure,
               std::to_string(failed_run.metrics.map_tasks_recovered) +

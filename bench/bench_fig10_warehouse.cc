@@ -24,6 +24,7 @@ int main() {
   const std::string queries[] = {WarehouseQ1(7, "2012-06-11"), WarehouseQ2(),
                                  WarehouseQ3(), WarehouseQ4()};
   const char* labels[] = {"Q1", "Q2", "Q3", "Q4"};
+  const char* charts[] = {"q1", "q2", "q3", "q4"};
 
   double disk[4];
   for (int q = 0; q < 4; ++q) disk[q] = TimedRun(session.get(), queries[q]);
@@ -40,12 +41,17 @@ int main() {
     std::string prune_note =
         "scanned " + std::to_string(mem.metrics.partitions_scanned) + "/" +
         std::to_string(total) + " partitions";
-    PrintBars(std::string("Warehouse ") + labels[q],
+    PrintBars("fig10", charts[q], std::string("Warehouse ") + labels[q],
               {{"Shark", mem.metrics.virtual_seconds, prune_note},
                {"Shark (disk)", disk[q], ""},
                {"Hive", hive_time, ""}});
     std::printf("   Shark vs Hive: %.0fx\n",
                 Ratio(hive_time, mem.metrics.virtual_seconds));
+    const std::string label = std::string(charts[q]) + ".shark";
+    EmitBench("fig10", label, "partitions_scanned",
+              mem.metrics.partitions_scanned, "partitions", Clock::kCount);
+    EmitBench("fig10", label, "partitions_total", total, "partitions",
+              Clock::kCount);
   }
 
   if (total_scanned > 0) {
@@ -71,5 +77,9 @@ int main() {
   std::printf("daily-report sweep (9 queries): scan reduction %.1fx "
               "(paper: ~30x average over the real trace)\n",
               sweep_total / sweep_scanned);
+  EmitBench("fig10", "daily_sweep", "partitions_scanned", sweep_scanned,
+            "partitions", Clock::kCount);
+  EmitBench("fig10", "daily_sweep", "partitions_total", sweep_total,
+            "partitions", Clock::kCount);
   return 0;
 }

@@ -66,9 +66,8 @@ void RunHostParallel(const MlDataConfig& data,
   for (double v : pooled.iteration_seconds) vsum_pool += v;
   bool identical = serial.weights == pooled.weights &&
                    serial.iteration_seconds == pooled.iteration_seconds;
-  EmitParallelJson("fig11_logreg", "train10_cached", 1, ms_serial,
-                   vsum_serial);
-  EmitParallelJson("fig11_logreg", "train10_cached", 0, ms_pool, vsum_pool);
+  EmitParallel("fig11", "train10_cached", 1, ms_serial, vsum_serial);
+  EmitParallel("fig11", "train10_cached", 0, ms_pool, vsum_pool);
   std::printf("  host_threads=1: %8.1fms host, %.4fs virtual\n", ms_serial,
               vsum_serial);
   std::printf("  host_threads=0: %8.1fms host, %.4fs virtual\n", ms_pool,
@@ -136,7 +135,7 @@ int main() {
   double text_iter = SteadyState(hadoop_text->iteration_seconds);
   double bin_iter = SteadyState(hadoop_bin->iteration_seconds);
 
-  PrintBars("Logistic regression, per-iteration",
+  PrintBars("fig11", "lr", "Logistic regression, per-iteration",
             {{"Shark", shark_iter, "cached after first pass"},
              {"Hadoop (binary)", bin_iter, "HDFS scan each iteration"},
              {"Hadoop (text)", text_iter, "HDFS scan each iteration"}},
@@ -145,6 +144,8 @@ int main() {
               "speedups: %.0fx vs text, %.0fx vs binary (paper ~100x)\n",
               shark_model->iteration_seconds[0], Ratio(text_iter, shark_iter),
               Ratio(bin_iter, shark_iter));
+  EmitBench("fig11", "lr.shark_first_iteration", "virtual_s",
+            shark_model->iteration_seconds[0], "s", Clock::kVirtual);
   RunHostParallel(data, opts);
   return 0;
 }

@@ -82,7 +82,7 @@ int main() {
   double text_iter = SteadyState(hadoop_text->iteration_seconds);
   double bin_iter = SteadyState(hadoop_bin->iteration_seconds);
 
-  PrintBars("K-means, per-iteration",
+  PrintBars("fig12", "kmeans", "K-means, per-iteration",
             {{"Shark", shark_iter, "cached after first pass"},
              {"Hadoop (binary)", bin_iter, ""},
              {"Hadoop (text)", text_iter, ""}},

@@ -38,6 +38,11 @@ int main() {
     double hadoop = TimedRun(hive.get(), query);
     double spark = TimedRun(session.get(), query);
     std::printf("%12d %18.1f %18.2f\n", n, hadoop, spark);
+    const std::string label = "reducers" + std::to_string(n);
+    EmitBench("fig13", label + ".hadoop", "virtual_s", hadoop, "s",
+              Clock::kVirtual);
+    EmitBench("fig13", label + ".spark", "virtual_s", spark, "s",
+              Clock::kVirtual);
   }
   std::printf("\npaper: Hadoop rises from ~1000s to ~6000s over this range "
               "while Spark stays in the tens of seconds and slowly "

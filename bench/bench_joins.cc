@@ -8,9 +8,9 @@
 //   stale+replan — same stale statistics; the first join's observed
 //                  cardinality triggers re-enumeration of the remaining
 //                  tables mid-query.
-// Gate floors (bench/bench_baseline.json "join_floors"): cbo must beat naive
-// by >= 2x on at least one query, and stale+replan must land within 1.5x of
-// the best static plan.
+// Claims in bench/claims.json: cbo must beat naive by >= 2x on the star
+// query, stale+replan must land within 1.5x of the best static plan and must
+// actually re-plan.
 #include <cstring>
 #include <random>
 
@@ -203,35 +203,6 @@ ModeResult RunMode(const JoinsConfig& c, const std::string& sql, Stats stats,
   return {r.metrics.virtual_seconds, r.metrics.replans};
 }
 
-void EmitJoinsJson(const std::string& bench, const std::string& label,
-                   double virtual_seconds, int replans) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("bench").String(bench);
-  w.Key("label").String(label);
-  w.Key("virtual_seconds").FixedDouble(virtual_seconds, 6);
-  w.Key("replans").Int(replans);
-  w.EndObject();
-  std::printf("BENCH_joins.json %s\n", w.str().c_str());
-}
-
-void EmitSummaryJson(const std::string& bench, const std::string& query,
-                     double speedup, double stale_overhead, int replans) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("bench").String(bench);
-  w.Key("label").String(query + "_summary");
-  w.Key("mode").String("summary");
-  w.Key("query").String(query);
-  w.Key("speedup_cbo_vs_naive").FixedDouble(speedup, 3);
-  if (stale_overhead > 0) {
-    w.Key("stale_replan_overhead").FixedDouble(stale_overhead, 3);
-    w.Key("replans").Int(replans);
-  }
-  w.EndObject();
-  std::printf("BENCH_joins.json %s\n", w.str().c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -255,7 +226,7 @@ int main(int argc, char** argv) {
   ModeResult star_stale_replan =
       RunMode(cfg, kStarQuery, Stats::kStale, false, 4.0);
 
-  PrintBars("star: sales x 4 dims, selective filters",
+  PrintBars(bench, "star", "star: sales x 4 dims, selective filters",
             {{"CBO (analyzed)", star_cbo.seconds, ""},
              {"best static", star_best.seconds, ""},
              {"stale + replan", star_stale_replan.seconds,
@@ -266,7 +237,7 @@ int main(int argc, char** argv) {
   // --- chain query ------------------------------------------------------
   ModeResult chain_naive = RunMode(cfg, kChainQuery, Stats::kNone, true, 0.0);
   ModeResult chain_cbo = RunMode(cfg, kChainQuery, Stats::kFresh, false, 4.0);
-  PrintBars("chain: sales -> customers -> regions",
+  PrintBars(bench, "chain", "chain: sales -> customers -> regions",
             {{"CBO (analyzed)", chain_cbo.seconds, ""},
              {"naive left-deep", chain_naive.seconds, "written order"}});
 
@@ -280,16 +251,7 @@ int main(int argc, char** argv) {
               Ratio(star_stale_static.seconds, star_best.seconds),
               stale_overhead, star_stale_replan.replans);
 
-  EmitJoinsJson(bench, "star/naive", star_naive.seconds, 0);
-  EmitJoinsJson(bench, "star/cbo", star_cbo.seconds, star_cbo.replans);
-  EmitJoinsJson(bench, "star/best_static", star_best.seconds, 0);
-  EmitJoinsJson(bench, "star/stale_static", star_stale_static.seconds, 0);
-  EmitJoinsJson(bench, "star/stale_replan", star_stale_replan.seconds,
-                star_stale_replan.replans);
-  EmitJoinsJson(bench, "chain/naive", chain_naive.seconds, 0);
-  EmitJoinsJson(bench, "chain/cbo", chain_cbo.seconds, chain_cbo.replans);
-  EmitSummaryJson(bench, "star", star_speedup, stale_overhead,
-                  star_stale_replan.replans);
-  EmitSummaryJson(bench, "chain", chain_speedup, 0.0, 0);
+  EmitBench(bench, "star.stale_replan", "replans", star_stale_replan.replans,
+            "replans", Clock::kCount);
   return 0;
 }

@@ -11,9 +11,9 @@
 // N), so per-partition min/max statistics cannot prune the scan — every
 // block spans the whole key domain, which is exactly the regime where a
 // secondary index earns its memory. All reported times are virtual-time
-// observables; every BENCH_lookup.json line is bit-identical across runs
-// and host thread counts. tools/bench_gate --index-floors enforces the
-// summary line against bench/bench_baseline.json `index_floors`.
+// observables; every BENCH line ("lookup", or "lookup_smoke" under --smoke)
+// is bit-identical across runs and host thread counts. bench/claims.json
+// holds the index floors tools/bench_gate enforces on them.
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -107,20 +107,15 @@ PointResult RunPoint(SharkSession* session, const std::string& label,
   return p;
 }
 
-void EmitPointJson(const PointResult& p) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("bench").String("lookup");
-  w.Key("mode").String("point");
-  w.Key("label").String(p.label);
-  w.Key("match_rows").Int(p.match_rows);
-  w.Key("selectivity_pct").FixedDouble(p.selectivity_pct, 4);
-  w.Key("scan_seconds").FixedDouble(p.scan_seconds, 6);
-  w.Key("index_seconds").FixedDouble(p.index_seconds, 6);
-  w.Key("speedup").FixedDouble(p.speedup, 3);
-  w.Key("index_plan").Bool(p.index_plan);
-  w.EndObject();
-  std::printf("BENCH_lookup.json %s\n", w.str().c_str());
+/// One selectivity point, labelled `point.<name>.sel<selectivity>pct`.
+void EmitPoint(const std::string& bench, const PointResult& p) {
+  char label[96];
+  std::snprintf(label, sizeof(label), "point.%s.sel%gpct", p.label.c_str(),
+                p.selectivity_pct);
+  EmitBench(bench, label, "scan_s", p.scan_seconds, "s", Clock::kVirtual);
+  EmitBench(bench, label, "index_s", p.index_seconds, "s", Clock::kVirtual);
+  EmitBench(bench, label, "index_plan", p.index_plan ? 1 : 0, "bool",
+            Clock::kCount);
 }
 
 double Percentile(std::vector<double> v, double p) {
@@ -190,18 +185,15 @@ SweepPoint RunSweep(bool use_index, double offered_qps, int num_queries,
   return point;
 }
 
-void EmitSweepJson(bool use_index, const SweepPoint& p) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("bench").String("lookup");
-  w.Key("mode").String("sweep");
-  w.Key("indexes").Bool(use_index);
-  w.Key("offered_qps").FixedDouble(p.offered_qps, 3);
-  w.Key("achieved_qps").FixedDouble(p.achieved_qps, 6);
-  w.Key("p50_latency").FixedDouble(p.p50, 6);
-  w.Key("p99_latency").FixedDouble(p.p99, 6);
-  w.EndObject();
-  std::printf("BENCH_lookup.json %s\n", w.str().c_str());
+/// One sweep point, labelled `sweep.<indexed|scan>.qps<offered rate>`.
+void EmitSweep(const std::string& bench, bool use_index, const SweepPoint& p) {
+  char label[64];
+  std::snprintf(label, sizeof(label), "sweep.%s.qps%g",
+                use_index ? "indexed" : "scan", p.offered_qps);
+  EmitBench(bench, label, "achieved_qps", p.achieved_qps, "1/s",
+            Clock::kVirtual);
+  EmitBench(bench, label, "p50_latency", p.p50, "s", Clock::kVirtual);
+  EmitBench(bench, label, "p99_latency", p.p99, "s", Clock::kVirtual);
 }
 
 }  // namespace
@@ -212,6 +204,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
 
+  const std::string bench = smoke ? "lookup_smoke" : "lookup";
   PrintHeader("Lookup - secondary-index point & range serving",
               "a B+-tree secondary index beats the full in-memory columnar "
               "scan by >=5x on selective lookups and lifts saturation QPS "
@@ -243,7 +236,7 @@ int main(int argc, char** argv) {
                 p.label.c_str(), p.match_rows, p.selectivity_pct,
                 p.scan_seconds, p.index_seconds, p.speedup,
                 p.index_plan ? "index" : "scan");
-    EmitPointJson(p);
+    EmitPoint(bench, p);
     if (s.match_rows == 1) {
       gated_speedup = p.speedup;
       gated_plan = p.index_plan;
@@ -264,7 +257,6 @@ int main(int argc, char** argv) {
   std::printf("\n%9s %12s %13s %11s %11s\n", "indexes", "offered_qps",
               "achieved_qps", "p50 (s)", "p99 (s)");
   double saturation_on = 0.0, saturation_off = 0.0;
-  double p99_on = 0.0, p99_off = 0.0;  // at the highest offered rate
   for (int use_index = 0; use_index < 2; ++use_index) {
     for (size_t ri = 0; ri < rates.size(); ++ri) {
       // Seed depends only on the configuration, never on the run.
@@ -273,13 +265,11 @@ int main(int argc, char** argv) {
       std::printf("%9s %12.1f %13.3f %11.4f %11.4f\n",
                   use_index ? "on" : "off", p.offered_qps, p.achieved_qps,
                   p.p50, p.p99);
-      EmitSweepJson(use_index == 1, p);
+      EmitSweep(bench, use_index == 1, p);
       if (use_index == 1) {
         saturation_on = std::max(saturation_on, p.achieved_qps);
-        p99_on = p.p99;
       } else {
         saturation_off = std::max(saturation_off, p.achieved_qps);
-        p99_off = p.p99;
       }
     }
   }
@@ -288,17 +278,9 @@ int main(int argc, char** argv) {
   std::printf("\nselective point lookup: %.2fx faster indexed; saturation "
               "%.1f QPS indexed vs %.1f QPS scan (%.2fx)\n",
               gated_speedup, saturation_on, saturation_off, qps_ratio);
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("bench").String("lookup");
-  w.Key("mode").String("summary");
-  w.Key("speedup_index_vs_scan").FixedDouble(gated_speedup, 3);
-  w.Key("saturation_qps_indexed").FixedDouble(saturation_on, 6);
-  w.Key("saturation_qps_scan").FixedDouble(saturation_off, 6);
-  w.Key("qps_ratio_index_vs_scan").FixedDouble(qps_ratio, 3);
-  w.Key("p99_indexed").FixedDouble(p99_on, 6);
-  w.Key("p99_scan").FixedDouble(p99_off, 6);
-  w.EndObject();
-  std::printf("BENCH_lookup.json %s\n", w.str().c_str());
+  EmitBench(bench, "summary.indexed", "saturation_qps", saturation_on, "1/s",
+            Clock::kVirtual);
+  EmitBench(bench, "summary.scan", "saturation_qps", saturation_off, "1/s",
+            Clock::kVirtual);
   return 0;
 }

@@ -6,9 +6,8 @@
 // pressure instead of hitting a cliff or aborting (graceful degradation).
 // Hive runs the same warehouse from disk as the baseline.
 //
-// Emits one machine-readable line per measurement:
-//   BENCH_memory.json {"bench":"memory_pressure","label":...,"pressure":...,
-//                      "virtual_seconds":...,"spill_bytes":...,...}
+// Every bar is a BENCH line labelled `<engine>.<pressure>x_memory`; the same
+// labels carry the spill counters of that run.
 #include <cstring>
 
 #include "bench/bench_common.h"
@@ -87,17 +86,17 @@ SpillStats CollectSpills(const QueryResult& result) {
   return s;
 }
 
-void EmitMemoryJson(const std::string& label, double pressure,
-                    double virtual_seconds, const SpillStats& s) {
-  std::printf(
-      "BENCH_memory.json {\"bench\":\"memory_pressure\",\"label\":\"%s\","
-      "\"pressure\":%.2f,\"virtual_seconds\":%.6f,\"spill_bytes\":%llu,"
-      "\"spill_partitions\":%llu,\"spilled_tasks\":%d,"
-      "\"disk_served_outputs\":%d}\n",
-      label.c_str(), pressure, virtual_seconds,
-      static_cast<unsigned long long>(s.spill_bytes),
-      static_cast<unsigned long long>(s.spill_partitions), s.spilled_tasks,
-      s.disk_served_outputs);
+void EmitSpills(const std::string& bench, const std::string& label,
+                const SpillStats& s) {
+  EmitBench(bench, label, "spill_bytes", static_cast<double>(s.spill_bytes),
+            "B", Clock::kCount);
+  EmitBench(bench, label, "spill_partitions",
+            static_cast<double>(s.spill_partitions), "partitions",
+            Clock::kCount);
+  EmitBench(bench, label, "spilled_tasks", s.spilled_tasks, "tasks",
+            Clock::kCount);
+  EmitBench(bench, label, "disk_served_outputs", s.disk_served_outputs,
+            "outputs", Clock::kCount);
 }
 
 }  // namespace
@@ -112,6 +111,7 @@ int main(int argc, char** argv) {
               "graceful degradation: runtime rises smoothly as working sets "
               "spill and shuffle outputs flip to disk; no cliff, no abort");
 
+  const std::string bench = smoke ? "memory_pressure_smoke" : "memory_pressure";
   const int nodes = smoke ? 4 : 10;
   const int fact_rows = smoke ? 3000 : 40000;
   const int products = smoke ? 40 : 400;
@@ -171,8 +171,8 @@ int main(int argc, char** argv) {
     shark_rows.push_back({label, shark_s, note});
     hive_rows.push_back({label, hive_s, ""});
 
-    EmitMemoryJson("shark", pressure, shark_s, shark_spills);
-    EmitMemoryJson("hive", pressure, hive_s, hive_spills);
+    EmitSpills(bench, "shark." + Slug(label), shark_spills);
+    EmitSpills(bench, "hive." + Slug(label), hive_spills);
 
     // Keep the EXPLAIN ANALYZE rendering from the highest-pressure point to
     // show the spill annotations (reservation failures made visible).
@@ -186,9 +186,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  PrintBars("Shark (cached fact table)", shark_rows,
+  PrintBars(bench, "shark", "Shark (cached fact table)", shark_rows,
             "rises smoothly past 1x as spills kick in");
-  PrintBars("Hive (disk warehouse)", hive_rows,
+  PrintBars(bench, "hive", "Hive (disk warehouse)", hive_rows,
             "flat-ish: always disk-resident, always slower");
 
   if (!analyzed_at_max.empty()) {

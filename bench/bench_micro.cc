@@ -2,17 +2,17 @@
 // compression codecs (§3.2), expression interpretation (§5), key hashing,
 // the PDE statistics sketches and the 1-byte size encoding (§3.1), plus a
 // hand-rolled vectorized-vs-row kernel sweep (`--vector-sweep`) that prints
-// one BENCH_vector.json line per kernel for tools/bench_gate's floors.
+// BENCH lines per kernel; bench/claims.json floors their speedups.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstring>
 
+#include "bench/bench_common.h"
 #include "columnar/column.h"
 #include "columnar/table_partition.h"
 #include "common/heavy_hitters.h"
 #include "common/histogram.h"
-#include "common/json_writer.h"
 #include "common/random.h"
 #include "common/size_encoding.h"
 #include "exec/vectorized/column_batch.h"
@@ -215,10 +215,8 @@ BENCHMARK(BM_LikeMatch);
 // Vectorized-vs-row kernel sweep. Each kernel runs the same work twice —
 // batch-at-a-time over a decoded ColumnBatch and row-at-a-time over
 // materialized Rows (the scalar engine path) — and reports rows/sec for
-// both plus the wall-clock speedup. The lines deliberately omit
-// "virtual_seconds": wall-clock is noisy host time, so they bypass the
-// bench_gate timing diff and are checked against the conservative
-// `vector_floors` in bench/bench_baseline.json instead.
+// both plus the wall-clock speedup. Wall-clock is noisy host time, so the
+// claims on these lines are conservative floors, not pins.
 // ---------------------------------------------------------------------------
 
 std::shared_ptr<const TablePartition> SweepPartition(const Schema& schema,
@@ -282,16 +280,17 @@ double MeasureRowsPerSec(size_t rows_per_rep, Fn&& fn) {
 
 void EmitVectorLine(const std::string& label, size_t rows, double vec_rps,
                     double row_rps) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("bench").String("micro_vector");
-  w.Key("label").String(label);
-  w.Key("rows").UInt(rows);
-  w.Key("rows_per_sec_vec").FixedDouble(vec_rps, 0);
-  w.Key("rows_per_sec_row").FixedDouble(row_rps, 0);
-  w.Key("wall_speedup").FixedDouble(row_rps > 0 ? vec_rps / row_rps : 0.0, 3);
-  w.EndObject();
-  std::printf("BENCH_vector.json %s\n", w.str().c_str());
+  using bench::Clock;
+  using bench::EmitBench;
+  const char* kBench = "micro_vector";
+  EmitBench(kBench, label, "rows", static_cast<double>(rows), "rows",
+            Clock::kCount);
+  EmitBench(kBench, label, "rows_per_sec_vec", vec_rps, "rows/s",
+            Clock::kHost);
+  EmitBench(kBench, label, "rows_per_sec_row", row_rps, "rows/s",
+            Clock::kHost);
+  EmitBench(kBench, label, "wall_speedup",
+            row_rps > 0 ? vec_rps / row_rps : 0.0, "x", Clock::kHost);
 }
 
 int RunVectorSweep() {
@@ -387,8 +386,8 @@ int RunVectorSweep() {
 }  // namespace shark
 
 int main(int argc, char** argv) {
-  // `--vector-sweep`: run only the vectorized kernel sweep (CI mode, feeds
-  // tools/bench_gate's vector_floors). Otherwise: the sweep, then the
+  // `--vector-sweep`: run only the vectorized kernel sweep (CI mode; its
+  // speedups are floored in bench/claims.json). Otherwise: the sweep, then the
   // google-benchmark suite with the remaining flags.
   bool sweep_only = false;
   for (int i = 1; i < argc; ++i) {

@@ -9,9 +9,10 @@
 //   bench_serving --loopback  loopback only
 //
 // The sweep is deterministic: arrivals come from a fixed-seed RNG and all
-// latencies are virtual-time observables, so every line is bit-identical
-// across runs and host thread counts. The loopback phase is wall-clock
-// ordered (real sockets), so only its counts are gate-checked.
+// latencies are virtual-time observables, so every sweep line is
+// bit-identical across runs and host thread counts. The loopback phase is
+// wall-clock ordered (real sockets), so only its counts are gate-checked.
+// The BENCH lines name the bench "serving" ("serving_smoke" under --smoke).
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -138,20 +139,18 @@ SweepPoint RunSweepPoint(int sessions, double offered_qps, int num_queries,
   return point;
 }
 
-void EmitSweepJson(const SweepPoint& p) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("bench").String("serving");
-  w.Key("mode").String("sweep");
-  w.Key("sessions").Int(p.sessions);
-  w.Key("offered_qps").FixedDouble(p.offered_qps, 3);
-  w.Key("achieved_qps").FixedDouble(p.achieved_qps, 6);
-  w.Key("p50_latency").FixedDouble(p.p50, 6);
-  w.Key("p99_latency").FixedDouble(p.p99, 6);
-  w.Key("queued_frac").FixedDouble(p.queued_frac, 4);
-  w.Key("jobs_completed").UInt(p.completed_counter);
-  w.EndObject();
-  std::printf("BENCH_serving.json %s\n", w.str().c_str());
+/// One sweep point, labelled `sweep.s<sessions>.qps<offered rate>`.
+void EmitSweep(const std::string& bench, const SweepPoint& p) {
+  char label[64];
+  std::snprintf(label, sizeof(label), "sweep.s%d.qps%g", p.sessions,
+                p.offered_qps);
+  EmitBench(bench, label, "achieved_qps", p.achieved_qps, "1/s",
+            Clock::kVirtual);
+  EmitBench(bench, label, "p50_latency", p.p50, "s", Clock::kVirtual);
+  EmitBench(bench, label, "p99_latency", p.p99, "s", Clock::kVirtual);
+  EmitBench(bench, label, "queued_frac", p.queued_frac, "1", Clock::kVirtual);
+  EmitBench(bench, label, "jobs_completed",
+            static_cast<double>(p.completed_counter), "jobs", Clock::kCount);
 }
 
 /// Drives `clients` concurrent SharkClient connections through a real
@@ -159,7 +158,8 @@ void EmitSweepJson(const SweepPoint& p) {
 /// queries from the mix. Latencies are still virtual-time (from the reply
 /// header), but arrival interleaving is wall-clock, so only counts and
 /// percentile sanity are gated.
-void RunLoopback(int clients, int queries_per_client) {
+void RunLoopback(const std::string& bench, int clients,
+                 int queries_per_client) {
   SharkServer::Options opts;
   opts.max_queries_per_connection =
       static_cast<uint64_t>(queries_per_client) + 2;  // quota headroom
@@ -210,17 +210,15 @@ void RunLoopback(int clients, int queries_per_client) {
               clients, queries_per_client, ok, wall_ms,
               Percentile(all, 0.50), Percentile(all, 0.99));
 
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("bench").String("serving");
-  w.Key("mode").String("loopback");
-  w.Key("sessions").Int(clients);
-  w.Key("queries").UInt(total_queries);
-  w.Key("ok").Int(ok);
-  w.Key("p50_latency").FixedDouble(Percentile(all, 0.50), 6);
-  w.Key("p99_latency").FixedDouble(Percentile(all, 0.99), 6);
-  w.EndObject();
-  std::printf("BENCH_serving.json %s\n", w.str().c_str());
+  EmitBench(bench, "loopback", "sessions", clients, "sessions",
+            Clock::kCount);
+  EmitBench(bench, "loopback", "queries", static_cast<double>(total_queries),
+            "queries", Clock::kCount);
+  EmitBench(bench, "loopback", "ok", ok, "queries", Clock::kCount);
+  EmitBench(bench, "loopback", "p50_latency", Percentile(all, 0.50), "s",
+            Clock::kVirtual);
+  EmitBench(bench, "loopback", "p99_latency", Percentile(all, 0.99), "s",
+            Clock::kVirtual);
 }
 
 /// Observability-plane overhead: one fixed open-loop configuration executed
@@ -229,7 +227,7 @@ void RunLoopback(int clients, int queries_per_client) {
 /// only ever observes the schedule), and the host-time overhead should stay
 /// within a few percent (3% is the design target; the committed gate ceiling
 /// is looser because tiny smoke workloads are wall-clock noisy).
-void RunObsOverhead(bool smoke) {
+void RunObsOverhead(const std::string& bench, bool smoke) {
   const int sessions = 8;
   const double rate = 16.0;
   const int num_queries = smoke ? 48 : 120;
@@ -261,20 +259,12 @@ void RunObsOverhead(bool smoke) {
               num_queries, wall_on, wall_off, ratio,
               identical ? "identical" : "DIVERGED");
 
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("bench").String("serving");
-  w.Key("mode").String("obs");
-  w.Key("sessions").Int(sessions);
-  w.Key("queries").Int(num_queries);
-  w.Key("wall_on_ms").FixedDouble(wall_on, 1);
-  w.Key("wall_off_ms").FixedDouble(wall_off, 1);
-  w.Key("overhead_ratio").FixedDouble(ratio, 4);
-  w.Key("target_overhead_ratio").FixedDouble(1.03, 2);
-  w.Key("virtual_identical").Bool(identical);
-  w.Key("p99_latency").FixedDouble(on.p99, 6);
-  w.EndObject();
-  std::printf("BENCH_serving_obs.json %s\n", w.str().c_str());
+  EmitBench(bench, "obs", "wall_on_ms", wall_on, "ms", Clock::kHost);
+  EmitBench(bench, "obs", "wall_off_ms", wall_off, "ms", Clock::kHost);
+  EmitBench(bench, "obs", "overhead_ratio", ratio, "x", Clock::kHost);
+  EmitBench(bench, "obs", "virtual_identical", identical ? 1 : 0, "bool",
+            Clock::kCount);
+  EmitBench(bench, "obs", "p99_latency", on.p99, "s", Clock::kVirtual);
 }
 
 }  // namespace
@@ -286,6 +276,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--loopback") == 0) loopback_only = true;
   }
 
+  const std::string bench = smoke ? "serving_smoke" : "serving";
   PrintHeader("Serving - multi-session admission & latency",
               "concurrent sessions share the cluster; latency degrades "
               "gracefully and throughput saturates instead of collapsing");
@@ -312,21 +303,16 @@ int main(int argc, char** argv) {
         std::printf("%9d %12.1f %13.3f %11.4f %11.4f %10.0f%%\n", p.sessions,
                     p.offered_qps, p.achieved_qps, p.p50, p.p99,
                     100.0 * p.queued_frac);
-        EmitSweepJson(p);
+        EmitSweep(bench, p);
       }
     }
     std::printf("\nsaturation: %.3f QPS (max achieved across the sweep)\n",
                 saturation);
-    JsonWriter w;
-    w.BeginObject();
-    w.Key("bench").String("serving");
-    w.Key("mode").String("summary");
-    w.Key("saturation_qps").FixedDouble(saturation, 6);
-    w.EndObject();
-    std::printf("BENCH_serving.json %s\n", w.str().c_str());
+    EmitBench(bench, "summary", "saturation_qps", saturation, "1/s",
+              Clock::kVirtual);
   }
 
-  RunLoopback(/*clients=*/8, /*queries_per_client=*/smoke ? 3 : 6);
-  if (!loopback_only) RunObsOverhead(smoke);
+  RunLoopback(bench, /*clients=*/8, /*queries_per_client=*/smoke ? 3 : 6);
+  if (!loopback_only) RunObsOverhead(bench, smoke);
   return 0;
 }

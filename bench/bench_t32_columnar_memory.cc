@@ -59,6 +59,8 @@ int main() {
   auto line = [&](const char* name, uint64_t bytes) {
     std::printf("%-34s %12s %8.2fx\n", name, shark::FormatBytes(bytes).c_str(),
                 static_cast<double>(object_bytes) / static_cast<double>(bytes));
+    EmitBench("t32", Slug(name), "bytes", static_cast<double>(bytes), "B",
+              Clock::kCount);
   };
   line("heap objects (Spark default)", object_bytes);
   line("serialized rows (binary)", serialized_bytes);

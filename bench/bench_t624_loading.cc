@@ -35,7 +35,7 @@ int main() {
   double hdfs_rate = virtual_bytes / hdfs_seconds / 1e6;
   double mem_rate = virtual_bytes / mem_seconds / 1e6;
 
-  PrintBars("Time to load the uservisits table",
+  PrintBars("t624", "load", "Time to load the uservisits table",
             {{"Shark memstore", mem_seconds, ""},
              {"HDFS (replicated)", hdfs_seconds, ""}},
             "memstore ingest rate ~5x HDFS's");

@@ -282,22 +282,21 @@ class ShuffledReduceRdd final : public TypedRdd<std::pair<K, C>> {
     typename TypedRdd<std::pair<K, C>>::Block out;
     out.reserve(merged.size());
     for (auto& [k, c] : merged) out.emplace_back(k, std::move(c));
-    // External hash aggregation: the merge table held one combiner per key;
-    // past the task's budget it degrades to grace-hash partitions on local
-    // disk merged one at a time.
-    tctx->ReserveOrSpillHash(ApproxSizeOfRange(out),
-                             static_cast<uint64_t>(effective_records));
-    tctx->ReleaseAllWorkingSet();
-    // The reduce output is one record per key — cardinality-bounded, so its
-    // materialization bytes get the same distinct-growth adjustment as the
-    // map-side combiner outputs.
+    // The merge table and the reduce output hold one record per key —
+    // cardinality-bounded, so both get the same distinct-growth adjustment
+    // as the map-side combiner outputs.
     double adjust = DistinctGrowthFactor(static_cast<double>(records_in),
                                          static_cast<double>(out.size()),
                                          tctx->virtual_scale()) /
                     std::max(tctx->virtual_scale(), 1.0);
-    internal_shuffle::ChargeStageMaterialization(
-        static_cast<uint64_t>(static_cast<double>(ApproxSizeOfRange(out)) * adjust),
-        tctx);
+    const auto table_bytes = static_cast<uint64_t>(
+        static_cast<double>(ApproxSizeOfRange(out)) * adjust);
+    // External hash aggregation: past the task's budget the merge table
+    // degrades to grace-hash partitions on local disk merged one at a time.
+    tctx->ReserveOrSpillHash(table_bytes,
+                             static_cast<uint64_t>(effective_records));
+    tctx->ReleaseAllWorkingSet();
+    internal_shuffle::ChargeStageMaterialization(table_bytes, tctx);
     return out;
   }
 

@@ -5,6 +5,7 @@
 
 #include "mem/memory_manager.h"
 #include "rdd/task_context.h"
+#include "sql/session.h"
 
 namespace shark {
 namespace {
@@ -126,6 +127,37 @@ TEST(TaskMemoryTest, MemLogReplaysIntoManagerTotals) {
   EXPECT_EQ(mm.denied_reservations(), 1u);
   EXPECT_EQ(mm.committed_spill_bytes(), 500u);
   EXPECT_GT(mm.peak_task_bytes(0), 0u);
+}
+
+/// A few-group aggregate at a high virtual scale: the reduce-side merge table
+/// holds one combiner per group, so like the map-side combiner output its
+/// reservation grows with the distinct-growth estimate, not linearly with the
+/// scale. Four COUNT(DISTINCT) groups must fit in the task budget; reserving
+/// the raw table against a budget divided by the scale would spill it.
+TEST(ReduceMemoryTest, FewGroupAggregateAtHighScaleDoesNotSpillInReduce) {
+  ClusterConfig cfg;
+  cfg.num_nodes = 4;
+  cfg.hardware.cores_per_node = 2;
+  cfg.virtual_data_scale = 1e6;  // ~36 KB real task budget
+  auto session =
+      std::make_unique<SharkSession>(std::make_shared<ClusterContext>(cfg));
+  Schema schema({{"g", TypeKind::kInt64}, {"id", TypeKind::kInt64}});
+  std::vector<Row> rows;
+  for (int i = 0; i < 8000; ++i) {
+    rows.push_back(Row({Value::Int64(i % 4), Value::Int64(i)}));
+  }
+  ASSERT_TRUE(session->CreateDfsTable("t", schema, rows, 8).ok());
+  auto r = session->Sql("SELECT g, COUNT(DISTINCT id) FROM t GROUP BY g");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->rows.size(), 4u);
+  ASSERT_NE(r->profile, nullptr);
+  int reduce_stages = 0;
+  for (const StageTrace& st : r->profile->stages) {
+    if (st.is_map_stage) continue;
+    ++reduce_stages;
+    EXPECT_EQ(st.spill_bytes(), 0u) << "reduce stage " << st.label;
+  }
+  EXPECT_GT(reduce_stages, 0);
 }
 
 }  // namespace
