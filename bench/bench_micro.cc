@@ -2,10 +2,12 @@
 // compression codecs (§3.2), expression interpretation (§5), key hashing,
 // the PDE statistics sketches and the 1-byte size encoding (§3.1), plus a
 // hand-rolled vectorized-vs-row kernel sweep (`--vector-sweep`) that prints
-// BENCH lines per kernel; bench/claims.json floors their speedups.
+// BENCH lines per kernel; bench/claims.json floors their speedups and caps
+// the cost of ANALYZE's sketching over a plain decode.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstring>
 
 #include "bench/bench_common.h"
@@ -21,6 +23,7 @@
 #include "sql/expr.h"
 #include "sql/expr_compiler.h"
 #include "sql/parser.h"
+#include "sql/stats/table_stats.h"
 
 namespace shark {
 namespace {
@@ -293,6 +296,70 @@ void EmitVectorLine(const std::string& label, size_t rows, double vec_rps,
             row_rps > 0 ? vec_rps / row_rps : 0.0, "x", Clock::kHost);
 }
 
+/// ANALYZE's per-partition sketching (PartitionSketch::AddPartition) against
+/// a plain typed decode of the same chunks, on ingest_train's table shape:
+/// 100k rows x 11 Gaussian DOUBLE columns in 32 partitions. The ratio is the
+/// cost of the sketches per value read; bench/claims.json caps it, so a
+/// per-value cost like the old node-walking heavy-hitter eviction shows.
+int RunAnalyzeSketch() {
+  constexpr size_t kRows = 100000;
+  constexpr int kCols = 11;
+  constexpr size_t kParts = 32;
+  std::vector<Field> fields;
+  for (int c = 0; c < kCols; ++c) {
+    fields.push_back({"c" + std::to_string(c), TypeKind::kDouble});
+  }
+  Schema schema(fields);
+  Random rng(11);
+  std::vector<TablePartitionPtr> parts;
+  for (size_t p = 0; p < kParts; ++p) {
+    std::vector<Row> rows;
+    for (size_t i = p * kRows / kParts; i < (p + 1) * kRows / kParts; ++i) {
+      Row row;
+      for (int c = 0; c < kCols; ++c) {
+        double u1 = std::max(rng.NextDouble(), 1e-12), u2 = rng.NextDouble();
+        row.fields.push_back(Value::Double(
+            std::sqrt(-2.0 * std::log(u1)) *
+            std::cos(6.283185307179586 * u2)));
+      }
+      rows.push_back(std::move(row));
+    }
+    parts.push_back(TablePartition::FromRows(schema, rows));
+  }
+
+  double sketch_rps = MeasureRowsPerSec(kRows, [&] {
+    for (const TablePartitionPtr& part : parts) {
+      PartitionSketch sketch(schema);
+      sketch.AddPartition(schema, *part);
+      benchmark::DoNotOptimize(sketch);
+    }
+  });
+  double decode_rps = MeasureRowsPerSec(kRows, [&] {
+    std::vector<double> doubles;
+    for (const TablePartitionPtr& part : parts) {
+      for (int c = 0; c < kCols; ++c) {
+        doubles.clear();
+        if (!part->column(c).DecodeDoubles(&doubles)) std::abort();
+        benchmark::DoNotOptimize(doubles.data());
+      }
+    }
+  });
+
+  using bench::Clock;
+  using bench::EmitBench;
+  const char* kBench = "micro_vector";
+  EmitBench(kBench, "analyze_sketch", "rows", static_cast<double>(kRows),
+            "rows", Clock::kCount);
+  EmitBench(kBench, "analyze_sketch", "rows_per_sec_sketch", sketch_rps,
+            "rows/s", Clock::kHost);
+  EmitBench(kBench, "analyze_sketch", "rows_per_sec_decode", decode_rps,
+            "rows/s", Clock::kHost);
+  EmitBench(kBench, "analyze_sketch", "sketch_over_decode",
+            sketch_rps > 0 ? decode_rps / sketch_rps : 0.0, "x",
+            Clock::kHost);
+  return 0;
+}
+
 int RunVectorSweep() {
   Schema schema({{"a", TypeKind::kInt64},
                  {"b", TypeKind::kInt64},
@@ -379,7 +446,8 @@ int RunVectorSweep() {
     });
     EmitVectorLine("fused_scan_filter", n, vec_rps, row_rps);
   }
-  return 0;
+
+  return RunAnalyzeSketch();
 }
 
 }  // namespace

@@ -4,16 +4,25 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <set>
+#include <vector>
+
+#include "common/logging.h"
 
 namespace shark {
 
 /// Mergeable k-minimum-values (KMV) distinct-count sketch. Feed it 64-bit
-/// hashes of the keys; it keeps the `k` smallest hash values seen. With
-/// fewer than `k` distinct hashes the count is exact; beyond that the
+/// hashes of the keys; it keeps the `k` smallest distinct hash values seen.
+/// With fewer than `k` distinct hashes the count is exact; beyond that the
 /// estimate (k-1) / R (R = k-th smallest hash mapped to (0,1]) has relative
 /// standard error ~ 1/sqrt(k-2) (Beyer et al., "On synopses for
 /// distinct-value estimation under multiset operations").
+///
+/// The hashes sit in one flat buffer. `AddHash` rejects any hash at or above
+/// the current k-th minimum with one compare and otherwise appends; when the
+/// buffer reaches 2k it is sorted, deduplicated and truncated to k. The k
+/// smallest distinct hashes do not depend on input order, so neither does
+/// the estimate. Call `Seal()` (or `Merge`, which seals) before shipping or
+/// estimating: the read accessors require the compacted form.
 ///
 /// ANALYZE TABLE builds one per column per partition and merges them at the
 /// master, so NDV estimation composes the same way the histogram and
@@ -23,34 +32,54 @@ class DistinctSketch {
   explicit DistinctSketch(size_t k = 1024) : k_(std::max<size_t>(k, 16)) {}
 
   void AddHash(uint64_t h) {
-    if (mins_.size() < k_) {
-      mins_.insert(h);
-    } else if (h < *mins_.rbegin()) {
-      // Only grows when h is new; erase the old max if insertion happened.
-      if (mins_.insert(h).second) mins_.erase(std::prev(mins_.end()));
-    }
+    if (h > limit_) return;
+    mins_.push_back(h);
+    sealed_ = false;
+    if (mins_.size() >= 2 * k_) Seal();
   }
 
+  /// Compacts the buffer to the k smallest distinct hashes.
+  void Seal() {
+    std::sort(mins_.begin(), mins_.end());
+    mins_.erase(std::unique(mins_.begin(), mins_.end()), mins_.end());
+    if (mins_.size() >= k_) {
+      mins_.resize(k_);
+      // k >= 16 distinct hashes sit below the k-th, so it is never 0.
+      limit_ = mins_.back() - 1;
+    }
+    sealed_ = true;
+  }
+
+  /// Folds in `other` (sealed or not) and seals the result.
   void Merge(const DistinctSketch& other) {
     for (uint64_t h : other.mins_) AddHash(h);
+    Seal();
   }
 
   /// Estimated number of distinct hashes fed in.
   double Estimate() const {
+    SHARK_CHECK(sealed_);
     if (mins_.size() < k_) return static_cast<double>(mins_.size());
     // Map the k-th smallest hash to (0,1]; +1 avoids a zero divisor when
     // hash 0 is present.
-    double r = (static_cast<double>(*mins_.rbegin()) + 1.0) /
+    double r = (static_cast<double>(mins_.back()) + 1.0) /
                18446744073709551616.0;  // 2^64
     return (static_cast<double>(k_) - 1.0) / r;
   }
 
-  bool exact() const { return mins_.size() < k_; }
+  bool exact() const {
+    SHARK_CHECK(sealed_);
+    return mins_.size() < k_;
+  }
   size_t k() const { return k_; }
 
  private:
   size_t k_;
-  std::set<uint64_t> mins_;
+  // Largest hash still admitted: all of them until k distinct hashes are
+  // known, then the k-th minimum minus one.
+  uint64_t limit_ = UINT64_MAX;
+  bool sealed_ = true;
+  std::vector<uint64_t> mins_;
 };
 
 /// Estimates how a distinct-value count grows when a sample of `n` draws

@@ -10,18 +10,10 @@ namespace vec {
 
 namespace {
 
-// Sentinels from Value::Hash — NULL and NaN hash to fixed values so equal
-// keys (NULL==NULL, NaN==NaN under grouping semantics) land in one group.
+// Sentinel from Value::Hash — NULL hashes to a fixed value so NULL keys
+// (NULL==NULL under grouping semantics) land in one group.
 constexpr uint64_t kNullHash = 0x9ae16a3b2f90404fULL;
-constexpr uint64_t kNanHash = 0xfff8dececa5eba11ULL;
 constexpr uint64_t kRowHashSeed = 0x9e3779b97f4a7c15ULL;
-
-inline uint64_t HashDoubleCell(double d) {
-  if (std::isnan(d)) return kNanHash;
-  int64_t as_int = 0;
-  if (DoubleIsExactInt64(d, &as_int)) return HashInt64(as_int);
-  return HashDouble(d);
-}
 
 /// Cell-vs-Value equality matching Value::operator== on the typed paths
 /// (same logical type on both sides by construction: the stored key Row was
@@ -53,7 +45,7 @@ uint64_t HashCell(const ColumnVector& col, size_t i) {
     case ColumnVector::Storage::kInt64:
       return HashInt64(col.ints[i]);
     case ColumnVector::Storage::kDouble:
-      return HashDoubleCell(col.doubles[i]);
+      return HashDoubleKey(col.doubles[i]);
     case ColumnVector::Storage::kString:
       return HashBytes(col.strs[i]);
     default:

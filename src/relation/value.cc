@@ -183,17 +183,8 @@ uint64_t Value::Hash() const {
     case TypeKind::kInt64:
     case TypeKind::kDate:
       return HashInt64(i_);
-    case TypeKind::kDouble: {
-      // Hash doubles equal to integers identically to the integer, so that
-      // cross-type key equality is consistent with hashing. Doubles outside
-      // int64 range (and NaN/Inf) can't equal any integer and hash as raw
-      // doubles; NaNs are canonicalized because operator== treats all NaNs
-      // as equal.
-      if (std::isnan(d_)) return 0xfff8dececa5eba11ULL;
-      int64_t as_int = 0;
-      if (DoubleIsExactInt64(d_, &as_int)) return HashInt64(as_int);
-      return HashDouble(d_);
-    }
+    case TypeKind::kDouble:
+      return HashDoubleKey(d_);
     case TypeKind::kString:
       return HashBytes(s_);
   }

@@ -53,6 +53,18 @@ inline bool DoubleIsExactInt64(double d, int64_t* out) {
   return true;
 }
 
+/// Key hash of a DOUBLE, consistent with Value::operator==: a double equal
+/// to an integer hashes like that BIGINT, so cross-type key equality agrees
+/// with hashing. Doubles outside int64 range (and +/-Inf) can't equal any
+/// integer and hash as raw doubles; NaNs are canonicalized because
+/// operator== treats all NaNs as equal.
+inline uint64_t HashDoubleKey(double d) {
+  if (std::isnan(d)) return 0xfff8dececa5eba11ULL;
+  int64_t as_int = 0;
+  if (DoubleIsExactInt64(d, &as_int)) return HashInt64(as_int);
+  return HashDouble(d);
+}
+
 /// Exact BIGINT-vs-DOUBLE ordering without rounding either side. `d` must
 /// not be NaN. Returns the sign of (i <=> d). This is the comparison
 /// Value::Compare uses for mixed numeric kinds; vectorized kernels call it

@@ -12,14 +12,10 @@ namespace {
 
 using SketchPtr = std::shared_ptr<PartitionSketch>;
 
-SketchPtr SketchRows(const Schema& schema, const std::vector<Row>& rows,
-                     TaskContext* tctx) {
-  auto sketch = std::make_shared<PartitionSketch>();
-  sketch->AddRows(schema, rows);
-  // Sketch maintenance: one histogram/heavy-hitter/KMV update per value.
+// Sketch maintenance: one histogram/heavy-hitter/KMV update per value.
+void ChargeSketching(size_t rows, const Schema& schema, TaskContext* tctx) {
   tctx->work().rows_processed +=
-      rows.size() * static_cast<size_t>(schema.num_fields());
-  return sketch;
+      rows * static_cast<size_t>(schema.num_fields());
 }
 
 }  // namespace
@@ -29,20 +25,21 @@ Result<std::shared_ptr<const TableStatistics>> RunAnalyzeTable(
   Schema schema = info->schema;
   RddPtr<SketchPtr> sketches;
   if (info->is_cached()) {
-    // Scan the columnar partitions where they live; decoding every column is
-    // charged like a full-width memstore scan.
+    // Sketch the columnar partitions where they live, one column chunk at a
+    // time; reading every column is charged like a full-width memstore scan.
     sketches = info->cached_rdd->MapPartitions(
         [schema](int, const std::vector<TablePartitionPtr>& in,
                  TaskContext* tctx) {
-          std::vector<Row> rows;
+          auto sketch = std::make_shared<PartitionSketch>(schema);
+          size_t rows = 0;
           for (const TablePartitionPtr& part : in) {
             if (part == nullptr) continue;
             tctx->work().mem_read_bytes += part->MemoryBytes();
-            std::vector<Row> decoded = part->ToRows(nullptr);
-            rows.insert(rows.end(), std::make_move_iterator(decoded.begin()),
-                        std::make_move_iterator(decoded.end()));
+            sketch->AddPartition(schema, *part);
+            rows += part->num_rows();
           }
-          return std::vector<SketchPtr>{SketchRows(schema, rows, tctx)};
+          ChargeSketching(rows, schema, tctx);
+          return std::vector<SketchPtr>{sketch};
         },
         "analyzeScan:" + info->name);
   } else {
@@ -53,7 +50,10 @@ Result<std::shared_ptr<const TableStatistics>> RunAnalyzeTable(
     SHARK_ASSIGN_OR_RETURN(RddPtr<Row> rows, ctx->FromDfs<Row>(info->dfs_file));
     sketches = rows->MapPartitions(
         [schema](int, const std::vector<Row>& in, TaskContext* tctx) {
-          return std::vector<SketchPtr>{SketchRows(schema, in, tctx)};
+          auto sketch = std::make_shared<PartitionSketch>(schema);
+          sketch->AddRows(schema, in);
+          ChargeSketching(in.size(), schema, tctx);
+          return std::vector<SketchPtr>{sketch};
         },
         "analyzeScan:" + info->name);
   }
@@ -73,7 +73,7 @@ Result<std::shared_ptr<const TableStatistics>> RunAnalyzeTable(
   }
   if (merged.columns.empty()) {
     // Empty table: still record zero-row statistics with typed columns.
-    merged.AddRows(schema, {});
+    merged = PartitionSketch(schema);
   }
   auto stats = std::make_shared<TableStatistics>(merged.Finish());
   info->column_statistics = stats;

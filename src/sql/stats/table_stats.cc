@@ -1,6 +1,11 @@
 #include "sql/stats/table_stats.h"
 
 #include <algorithm>
+#include <cmath>
+#include <string_view>
+
+#include "columnar/table_partition.h"
+#include "common/logging.h"
 
 namespace shark {
 
@@ -77,42 +82,143 @@ void ColumnStatistics::Finalize() {
   heavy_exact = heavy.size() < heavy.capacity();
 }
 
-void PartitionSketch::AddRows(const Schema& schema,
-                              const std::vector<Row>& rows) {
-  size_t ncols = static_cast<size_t>(schema.num_fields());
-  if (columns.size() != ncols) {
-    columns.assign(ncols, ColumnStatistics{});
-    ndv.assign(ncols, DistinctSketch(1024));
-    for (size_t c = 0; c < ncols; ++c) {
-      columns[c].type = schema.field(static_cast<int>(c)).type;
+namespace {
+
+/// The per-value update of one column's sketches: row count, NULLs, KMV,
+/// heavy hitters over the key hash, histogram and range for numbers, width
+/// for strings. Hashes and numeric projections match Value::Hash and
+/// ValueAsNumeric, so a typed payload and its Value update alike.
+class ColumnSketcher {
+ public:
+  ColumnSketcher(ColumnStatistics* st, DistinctSketch* ndv)
+      : st_(*st), ndv_(*ndv) {}
+
+  void AddValue(const Value& v) {
+    switch (v.kind()) {
+      case TypeKind::kNull:
+        st_.row_count += 1;
+        st_.null_count += 1;
+        return;
+      case TypeKind::kBool:
+      case TypeKind::kInt64:
+      case TypeKind::kDate:
+        AddInt64(v.int64_v());
+        return;
+      case TypeKind::kDouble:
+        AddDouble(v.double_v());
+        return;
+      case TypeKind::kString:
+        AddString(v.str());
+        return;
     }
   }
+
+  void AddInt64(int64_t v) {
+    AddKey(HashInt64(v));
+    AddNumber(static_cast<double>(v));
+  }
+
+  void AddDouble(double v) {
+    AddKey(HashDoubleKey(v));
+    // NaN has no place on a number line; keep it out of range stats.
+    if (!std::isnan(v)) AddNumber(v);
+  }
+
+  void AddString(std::string_view s) {
+    AddKey(HashBytes(s));
+    st_.avg_width =
+        (st_.avg_width + static_cast<double>(s.size()) + 16.0) / 2.0;
+  }
+
+ private:
+  void AddKey(uint64_t hash) {
+    st_.row_count += 1;
+    ndv_.AddHash(hash);
+    st_.heavy.Add(hash);
+  }
+
+  void AddNumber(double num) {
+    st_.histogram.Add(num);
+    if (!st_.has_range || num < st_.min_value) st_.min_value = num;
+    if (!st_.has_range || num > st_.max_value) st_.max_value = num;
+    st_.has_range = true;
+  }
+
+  ColumnStatistics& st_;
+  DistinctSketch& ndv_;
+};
+
+}  // namespace
+
+PartitionSketch::PartitionSketch(const Schema& schema) { Prepare(schema); }
+
+void PartitionSketch::Prepare(const Schema& schema) {
+  size_t ncols = static_cast<size_t>(schema.num_fields());
+  if (columns.size() == ncols) return;
+  columns.assign(ncols, ColumnStatistics{});
+  ndv.assign(ncols, DistinctSketch(1024));
+  for (size_t c = 0; c < ncols; ++c) {
+    columns[c].type = schema.field(static_cast<int>(c)).type;
+  }
+}
+
+void PartitionSketch::AddRows(const Schema& schema,
+                              const std::vector<Row>& rows) {
+  Prepare(schema);
   for (const Row& row : rows) {
     row_count += 1;
     total_bytes += static_cast<double>(ApproxSizeOf(row));
-    for (size_t c = 0; c < ncols && c < row.fields.size(); ++c) {
-      const Value& v = row.fields[c];
-      ColumnStatistics& st = columns[c];
-      st.row_count += 1;
-      if (v.is_null()) {
-        st.null_count += 1;
-        continue;
+  }
+  for (size_t c = 0; c < columns.size(); ++c) {
+    ColumnSketcher sketcher(&columns[c], &ndv[c]);
+    for (const Row& row : rows) {
+      if (c < row.fields.size()) sketcher.AddValue(row.fields[c]);
+    }
+    ndv[c].Seal();
+  }
+}
+
+void PartitionSketch::AddPartition(const Schema& schema,
+                                   const TablePartition& part) {
+  Prepare(schema);
+  SHARK_CHECK(static_cast<size_t>(part.num_columns()) == columns.size());
+  const size_t n = part.num_rows();
+  row_count += static_cast<double>(n);
+  // ApproxSizeOf(Row) per row, summed exactly in integers: 24 bytes of row
+  // header plus ApproxSizeOf(Value) per cell.
+  uint64_t bytes = 24 * n;
+  std::vector<int64_t> ints;
+  std::vector<double> doubles;
+  std::vector<std::string_view> strs;
+  std::vector<Value> values;
+  for (size_t c = 0; c < columns.size(); ++c) {
+    const ColumnChunk& chunk = part.column(static_cast<int>(c));
+    ColumnSketcher sketcher(&columns[c], &ndv[c]);
+    ints.clear();
+    doubles.clear();
+    strs.clear();
+    values.clear();
+    if (chunk.DecodeInt64s(&ints)) {
+      for (int64_t v : ints) sketcher.AddInt64(v);
+      bytes += 16 * n;
+    } else if (chunk.DecodeDoubles(&doubles)) {
+      for (double v : doubles) sketcher.AddDouble(v);
+      bytes += 16 * n;
+    } else if (chunk.DecodeStringViews(&strs)) {
+      for (std::string_view v : strs) {
+        sketcher.AddString(v);
+        bytes += 16 + v.size();
       }
-      ndv[c].AddHash(KeyHash(v));
-      st.heavy.Add(KeyHash(v));
-      double num;
-      if (ValueAsNumeric(v, &num)) {
-        st.histogram.Add(num);
-        if (!st.has_range || num < st.min_value) st.min_value = num;
-        if (!st.has_range || num > st.max_value) st.max_value = num;
-        st.has_range = true;
-      }
-      if (v.kind() == TypeKind::kString) {
-        st.avg_width = (st.avg_width + static_cast<double>(v.str().size()) +
-                        16.0) / 2.0;
+    } else {
+      chunk.Decode(&values);
+      for (const Value& v : values) {
+        sketcher.AddValue(v);
+        bytes += ApproxSizeOf(v);
       }
     }
+    ndv[c].Seal();
   }
+  total_bytes += static_cast<double>(bytes);
 }
 
 void PartitionSketch::Merge(const PartitionSketch& other) {

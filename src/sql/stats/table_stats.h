@@ -68,20 +68,38 @@ struct TableStatistics {
   }
 };
 
+class TablePartition;
+
 /// Mergeable per-partition sketch state: what each ANALYZE task computes
-/// over its partition and ships to the master.
+/// over its partition and ships to the master. Every column's sketches are
+/// independent, so feeding values column by column gives each column the
+/// same update sequence that row order gives; both Add paths run one
+/// per-value kernel. The KMV sketches are sealed when an Add or Merge
+/// returns, so a sketch is always ready to ship or Finish.
 struct PartitionSketch {
   double row_count = 0;
   double total_bytes = 0;
   std::vector<ColumnStatistics> columns;
   std::vector<DistinctSketch> ndv;   // parallel to columns
 
+  PartitionSketch() = default;
+  /// An empty sketch with typed columns (what zero rows analyze to).
+  explicit PartitionSketch(const Schema& schema);
+
   /// Folds `rows` into the sketch (first call sizes the column vectors).
   void AddRows(const Schema& schema, const std::vector<Row>& rows);
+  /// Folds a columnar partition into the sketch, reading each ColumnChunk
+  /// once through its typed decode (Values for kGeneric chunks). Same
+  /// result as AddRows over `part.ToRows(nullptr)`.
+  void AddPartition(const Schema& schema, const TablePartition& part);
   /// Merges another partition's sketch into this one.
   void Merge(const PartitionSketch& other);
   /// Resolves NDV estimates and heavy-hitter caches into a TableStatistics.
   TableStatistics Finish() const;
+
+ private:
+  /// Sizes and types the column vectors unless they already fit `schema`.
+  void Prepare(const Schema& schema);
 };
 
 inline uint64_t ApproxSizeOf(const std::shared_ptr<PartitionSketch>&) {

@@ -1,5 +1,9 @@
 #include "common/histogram.h"
 
+#include <algorithm>
+#include <map>
+#include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -159,6 +163,168 @@ TEST(HeavyHittersTest, MergedStreamsFindGlobalHeavyHitter) {
   // than the recorded error.
   EXPECT_GE(top[0].count, 2400u);
   EXPECT_GE(2400u, top[0].count - top[0].error);
+}
+
+TEST(HeavyHittersTest, TopKBreaksCountTiesByKey) {
+  HeavyHitters hh(8);
+  for (uint64_t key : {9, 3, 7, 5}) hh.Add(key, 2);
+  hh.Add(1, 4);
+  auto top = hh.TopK(5);
+  ASSERT_EQ(top.size(), 5u);
+  const uint64_t expected[] = {1, 3, 5, 7, 9};
+  for (size_t i = 0; i < top.size(); ++i) EXPECT_EQ(top[i].key, expected[i]);
+}
+
+// A merged entry that evicts keeps its own error on top of the victim's
+// count; dropping it let LowerBound exceed the true frequency.
+TEST(HeavyHittersTest, MergeEvictionCarriesIncomingError) {
+  HeavyHitters a(4), b(4);
+  std::map<uint64_t, uint64_t> truth;
+  for (uint64_t key = 1; key <= 4; ++key) {
+    a.Add(key, 5);
+    truth[key] += 5;
+  }
+  for (uint64_t key : {10, 11, 12, 13, 20}) {
+    b.Add(key);
+    truth[key] += 1;
+  }
+  a.Merge(b);
+  EXPECT_EQ(a.LowerBound(20), 1u);
+  for (const HeavyHitters::Entry& e : a.TopK(a.capacity())) {
+    EXPECT_LE(a.LowerBound(e.key), truth[e.key]) << "key " << e.key;
+  }
+}
+
+TEST(HeavyHittersTest, LowerBoundHoldsAfterMergingFullSketches) {
+  for (uint32_t seed = 1; seed <= 20; ++seed) {
+    std::mt19937 rng(seed);
+    std::uniform_int_distribution<uint64_t> key_dist(0, 40);
+    std::uniform_int_distribution<uint64_t> weight_dist(1, 4);
+    std::map<uint64_t, uint64_t> truth;
+    HeavyHitters merged(4);
+    for (int part = 0; part < 4; ++part) {
+      HeavyHitters local(4);
+      for (int i = 0; i < 60; ++i) {
+        uint64_t key = key_dist(rng);
+        uint64_t weight = weight_dist(rng);
+        local.Add(key, weight);
+        truth[key] += weight;
+      }
+      merged.Merge(local);
+    }
+    for (const HeavyHitters::Entry& e : merged.TopK(merged.capacity())) {
+      EXPECT_LE(merged.LowerBound(e.key), truth[e.key])
+          << "seed " << seed << " key " << e.key;
+    }
+  }
+}
+
+/// Naive Space-Saving with the same documented rules: the victim is the
+/// smallest (count, key), an evicting entry adds the victim's count to its
+/// count and error, and Merge feeds the other sketch in (count desc, key
+/// asc) order.
+class ShadowSpaceSaving {
+ public:
+  explicit ShadowSpaceSaving(size_t capacity) : capacity_(capacity) {}
+
+  void Add(uint64_t key, uint64_t weight) {
+    total_ += weight;
+    Insert(key, weight, 0);
+  }
+
+  void Merge(const ShadowSpaceSaving& other) {
+    for (const HeavyHitters::Entry& e : other.Sorted()) {
+      Insert(e.key, e.count, e.error);
+    }
+    total_ += other.total_;
+  }
+
+  std::vector<HeavyHitters::Entry> Sorted() const {
+    std::vector<HeavyHitters::Entry> out;
+    for (const auto& [key, ce] : entries_) {
+      out.push_back({key, ce.first, ce.second});
+    }
+    std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+      return a.count != b.count ? a.count > b.count : a.key < b.key;
+    });
+    return out;
+  }
+
+  uint64_t total() const { return total_; }
+
+ private:
+  void Insert(uint64_t key, uint64_t count, uint64_t error) {
+    auto it = entries_.find(key);
+    if (it != entries_.end()) {
+      it->second.first += count;
+      it->second.second += error;
+      return;
+    }
+    if (entries_.size() == capacity_) {
+      auto victim = entries_.begin();
+      for (auto e = entries_.begin(); e != entries_.end(); ++e) {
+        if (e->second.first < victim->second.first) victim = e;
+      }
+      // std::map iterates keys ascending, so the first minimum found has
+      // the smallest key.
+      uint64_t min_count = victim->second.first;
+      entries_.erase(victim);
+      count += min_count;
+      error += min_count;
+    }
+    entries_[key] = {count, error};
+  }
+
+  size_t capacity_;
+  uint64_t total_ = 0;
+  std::map<uint64_t, std::pair<uint64_t, uint64_t>> entries_;
+};
+
+void ExpectSameSketch(const HeavyHitters& hh, const ShadowSpaceSaving& shadow,
+                      const std::string& where) {
+  EXPECT_EQ(hh.total_count(), shadow.total()) << where;
+  std::vector<HeavyHitters::Entry> got = hh.TopK(hh.capacity());
+  std::vector<HeavyHitters::Entry> want = shadow.Sorted();
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].key, want[i].key) << where << " entry " << i;
+    EXPECT_EQ(got[i].count, want[i].count) << where << " entry " << i;
+    EXPECT_EQ(got[i].error, want[i].error) << where << " entry " << i;
+  }
+}
+
+TEST(HeavyHittersTest, MatchesShadowSpaceSavingOnSkewedWeightedStreams) {
+  for (uint32_t seed = 1; seed <= 40; ++seed) {
+    std::mt19937_64 rng(seed);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    const size_t capacities[] = {1, 2, 4, 8, 16, 64};
+    size_t capacity = capacities[seed % 6];
+    // Skew: cubing a uniform draw piles mass onto the small keys.
+    uint64_t domain = 4 + seed * 13;
+    auto draw_key = [&] {
+      double u = unit(rng);
+      return static_cast<uint64_t>(u * u * u * static_cast<double>(domain));
+    };
+    HeavyHitters merged(capacity);
+    ShadowSpaceSaving merged_shadow(capacity);
+    for (int part = 0; part < 5; ++part) {
+      HeavyHitters local(capacity);
+      ShadowSpaceSaving local_shadow(capacity);
+      int n = static_cast<int>(rng() % 300);
+      for (int i = 0; i < n; ++i) {
+        uint64_t key = draw_key();
+        uint64_t weight = rng() % 4 == 0 ? rng() % 10 : 1;  // 0 included
+        local.Add(key, weight);
+        local_shadow.Add(key, weight);
+      }
+      std::string where =
+          "seed " + std::to_string(seed) + " part " + std::to_string(part);
+      ExpectSameSketch(local, local_shadow, where + " local");
+      merged.Merge(local);
+      merged_shadow.Merge(local_shadow);
+      ExpectSameSketch(merged, merged_shadow, where + " merged");
+    }
+  }
 }
 
 }  // namespace

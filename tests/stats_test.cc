@@ -1,9 +1,16 @@
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <limits>
 #include <random>
+#include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "columnar/table_partition.h"
 #include "common/cardinality.h"
 #include "sql/session.h"
 #include "sql/stats/cardinality_estimator.h"
@@ -26,6 +33,7 @@ uint64_t Mix64(uint64_t x) {
 TEST(DistinctSketchTest, ExactBelowK) {
   DistinctSketch s(1024);
   for (uint64_t i = 0; i < 800; ++i) s.AddHash(Mix64(i));
+  s.Seal();
   EXPECT_TRUE(s.exact());
   EXPECT_DOUBLE_EQ(s.Estimate(), 800.0);
 }
@@ -36,6 +44,7 @@ TEST(DistinctSketchTest, ErrorBoundAboveK) {
   for (uint64_t n : {10000ULL, 100000ULL}) {
     DistinctSketch s(1024);
     for (uint64_t i = 0; i < n; ++i) s.AddHash(Mix64(i));
+    s.Seal();
     EXPECT_FALSE(s.exact());
     double est = s.Estimate();
     EXPECT_NEAR(est, static_cast<double>(n), 0.125 * static_cast<double>(n))
@@ -48,6 +57,7 @@ TEST(DistinctSketchTest, DuplicatesDoNotInflate) {
   for (uint64_t pass = 0; pass < 5; ++pass) {
     for (uint64_t i = 0; i < 100; ++i) s.AddHash(Mix64(i));
   }
+  s.Seal();
   EXPECT_DOUBLE_EQ(s.Estimate(), 100.0);
 }
 
@@ -59,7 +69,100 @@ TEST(DistinctSketchTest, MergeMatchesUnion) {
     (i % 2 == 0 ? a : b).AddHash(h);
   }
   a.Merge(b);
+  whole.Seal();
   EXPECT_DOUBLE_EQ(a.Estimate(), whole.Estimate());
+}
+
+/// Reference KMV: a std::set holding the k smallest distinct hashes.
+class ShadowKmv {
+ public:
+  explicit ShadowKmv(size_t k) : k_(k) {}
+
+  void Add(uint64_t h) {
+    mins_.insert(h);
+    if (mins_.size() > k_) mins_.erase(std::prev(mins_.end()));
+  }
+
+  bool exact() const { return mins_.size() < k_; }
+  double Estimate() const {
+    if (exact()) return static_cast<double>(mins_.size());
+    double r = (static_cast<double>(*mins_.rbegin()) + 1.0) /
+               18446744073709551616.0;
+    return (static_cast<double>(k_) - 1.0) / r;
+  }
+
+ private:
+  size_t k_;
+  std::set<uint64_t> mins_;
+};
+
+void ExpectSameKmv(const DistinctSketch& s, const ShadowKmv& shadow,
+                   const std::string& where) {
+  EXPECT_EQ(s.exact(), shadow.exact()) << where;
+  EXPECT_EQ(s.Estimate(), shadow.Estimate()) << where;
+}
+
+TEST(DistinctSketchTest, MatchesShadowSetAroundK) {
+  const size_t k = 16;
+  // Distinct counts just below, at and just above k, each stream full of
+  // duplicates and holding the extreme hashes 0 and UINT64_MAX.
+  for (size_t distinct : {k - 1, k, k + 1, 5 * k}) {
+    for (uint32_t seed = 1; seed <= 5; ++seed) {
+      std::mt19937_64 rng(seed);
+      std::vector<uint64_t> pool{0, UINT64_MAX};
+      while (pool.size() < distinct) pool.push_back(Mix64(rng()));
+      std::vector<uint64_t> stream;
+      for (int i = 0; i < 400; ++i) stream.push_back(pool[rng() % pool.size()]);
+      stream.insert(stream.end(), pool.begin(), pool.end());
+      std::shuffle(stream.begin(), stream.end(), rng);
+
+      DistinctSketch whole(k), a(k), b(k);
+      ShadowKmv shadow(k);
+      for (size_t i = 0; i < stream.size(); ++i) {
+        whole.AddHash(stream[i]);
+        shadow.Add(stream[i]);
+        (i % 3 == 0 ? a : b).AddHash(stream[i]);
+      }
+      std::string where = "distinct " + std::to_string(distinct) + " seed " +
+                          std::to_string(seed);
+      whole.Seal();
+      ExpectSameKmv(whole, shadow, where + " whole");
+      EXPECT_EQ(whole.exact(), distinct < k) << where;
+      if (distinct < k) {
+        EXPECT_EQ(whole.Estimate(), static_cast<double>(distinct)) << where;
+      }
+
+      // Merge in both orders, from sealed and unsealed inputs.
+      DistinctSketch ab = a;
+      ab.Merge(b);
+      ExpectSameKmv(ab, shadow, where + " a+b");
+      DistinctSketch ba = b;
+      ba.Merge(a);
+      ExpectSameKmv(ba, shadow, where + " b+a");
+      a.Seal();
+      b.Seal();
+      DistinctSketch sealed_ab = a;
+      sealed_ab.Merge(b);
+      ExpectSameKmv(sealed_ab, shadow, where + " sealed a+b");
+    }
+  }
+}
+
+TEST(DistinctSketchTest, LargeStreamMatchesShadowSet) {
+  // Past 2k hashes the buffer compacts repeatedly; the k-th minimum only
+  // tightens, so every checkpoint still equals the reference.
+  DistinctSketch s(1024);
+  ShadowKmv shadow(1024);
+  std::mt19937_64 rng(9);
+  for (int i = 1; i <= 50000; ++i) {
+    uint64_t h = Mix64(rng() % 20000);
+    s.AddHash(h);
+    shadow.Add(h);
+    if (i % 12500 == 0) {
+      s.Seal();
+      ExpectSameKmv(s, shadow, "after " + std::to_string(i));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -174,6 +277,155 @@ TEST(TableStatisticsTest, PartitionSketchMergeMatchesSinglePass) {
     EXPECT_NEAR(sm.columns[c].RangeSelectivity(true, lo, true, hi),
                 sw.columns[c].RangeSelectivity(true, lo, true, hi), 0.1);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Column path == row path
+// ---------------------------------------------------------------------------
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+void ExpectSameStatistics(const TableStatistics& got,
+                          const TableStatistics& want) {
+  EXPECT_TRUE(SameBits(got.row_count, want.row_count));
+  EXPECT_TRUE(SameBits(got.total_bytes, want.total_bytes))
+      << got.total_bytes << " vs " << want.total_bytes;
+  ASSERT_EQ(got.columns.size(), want.columns.size());
+  for (size_t c = 0; c < got.columns.size(); ++c) {
+    SCOPED_TRACE("column " + std::to_string(c));
+    const ColumnStatistics& g = got.columns[c];
+    const ColumnStatistics& w = want.columns[c];
+    EXPECT_EQ(g.type, w.type);
+    EXPECT_TRUE(SameBits(g.row_count, w.row_count));
+    EXPECT_TRUE(SameBits(g.null_count, w.null_count));
+    EXPECT_TRUE(SameBits(g.ndv, w.ndv)) << g.ndv << " vs " << w.ndv;
+    EXPECT_EQ(g.has_range, w.has_range);
+    EXPECT_TRUE(SameBits(g.min_value, w.min_value));
+    EXPECT_TRUE(SameBits(g.max_value, w.max_value));
+    EXPECT_TRUE(SameBits(g.avg_width, w.avg_width));
+    EXPECT_TRUE(SameBits(g.heavy_mass, w.heavy_mass));
+    EXPECT_EQ(g.heavy_exact, w.heavy_exact);
+    EXPECT_EQ(g.histogram.total_count(), w.histogram.total_count());
+    for (int q = 0; q <= 20; ++q) {
+      double p = q / 20.0;
+      EXPECT_TRUE(SameBits(g.histogram.EstimateQuantile(p),
+                           w.histogram.EstimateQuantile(p)))
+          << "quantile " << p;
+    }
+    EXPECT_EQ(g.heavy.total_count(), w.heavy.total_count());
+    std::vector<HeavyHitters::Entry> gh = g.heavy.TopK(g.heavy.capacity());
+    std::vector<HeavyHitters::Entry> wh = w.heavy.TopK(w.heavy.capacity());
+    ASSERT_EQ(gh.size(), wh.size());
+    for (size_t i = 0; i < gh.size(); ++i) {
+      EXPECT_EQ(gh[i].key, wh[i].key) << "heavy entry " << i;
+      EXPECT_EQ(gh[i].count, wh[i].count) << "heavy entry " << i;
+      EXPECT_EQ(gh[i].error, wh[i].error) << "heavy entry " << i;
+    }
+  }
+}
+
+/// One column per encoding the memstore picks, over the fuzzer's nasty
+/// values (NaN, +/-0.0, +/-Inf, BIGINTs past 2^53, empty strings), plus
+/// NULL-bearing columns that fall back to kGeneric.
+TEST(PartitionSketchTest, ColumnPathMatchesRowPathOnEveryEncoding) {
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  const int64_t kTwo53 = int64_t{1} << 53;
+  const double kNastyDoubles[] = {0.0,  -0.0, 1.0,   -1.0,  2.5,     kNan,
+                                  kInf, -kInf, 9007199254740992.0,
+                                  9007199254740994.0, 1e308, -1e308, 42.0};
+  const int64_t kNastyInts[] = {0,
+                                -1,
+                                42,
+                                kTwo53,
+                                kTwo53 + 1,
+                                -(kTwo53 + 1),
+                                std::numeric_limits<int64_t>::max(),
+                                std::numeric_limits<int64_t>::min()};
+  const char* kStrings[] = {"", "a", "b", "ab", "it's", "42", "zzz"};
+
+  Schema schema({{"i_plain", TypeKind::kInt64},
+                 {"i_rle", TypeKind::kInt64},
+                 {"i_bits", TypeKind::kInt64},
+                 {"flag", TypeKind::kBool},
+                 {"day", TypeKind::kDate},
+                 {"d", TypeKind::kDouble},
+                 {"s_plain", TypeKind::kString},
+                 {"s_dict", TypeKind::kString},
+                 {"g_double", TypeKind::kDouble},
+                 {"g_int", TypeKind::kInt64},
+                 {"g_string", TypeKind::kString}});
+  const Encoding kExpected[] = {
+      Encoding::kPlain,      Encoding::kRunLength, Encoding::kBitPacked,
+      Encoding::kBitPacked,  Encoding::kBitPacked, Encoding::kPlain,
+      Encoding::kPlain,      Encoding::kDictionary, Encoding::kGeneric,
+      Encoding::kGeneric,    Encoding::kGeneric};
+
+  std::mt19937_64 rng(17);
+  auto pick = [&](const auto& pool) {
+    return pool[rng() % (sizeof(pool) / sizeof(pool[0]))];
+  };
+  auto maybe_null = [&](Value v) {
+    return rng() % 5 == 0 ? Value::Null() : std::move(v);
+  };
+  std::vector<Row> rows;
+  const int kRows = 3000;
+  for (int i = 0; i < kRows; ++i) {
+    int64_t wide = rng() % 3 == 0 ? pick(kNastyInts)
+                                  : static_cast<int64_t>(rng());
+    double d = rng() % 3 == 0 ? pick(kNastyDoubles)
+                              : static_cast<double>(rng() % 100000) / 8.0;
+    std::string distinct_str =
+        rng() % 10 == 0 ? std::string() : "s" + std::to_string(rng() % 100000);
+    rows.push_back(Row({
+        Value::Int64(wide),
+        Value::Int64(i / 8),
+        Value::Int64(static_cast<int64_t>(rng() % 2000) - 1000),
+        Value::Bool(rng() % 3 == 0),
+        Value::Date(18000 + static_cast<int64_t>(rng() % 400)),
+        Value::Double(d),
+        Value::String(distinct_str),
+        Value::String(pick(kStrings)),
+        maybe_null(Value::Double(pick(kNastyDoubles))),
+        maybe_null(Value::Int64(pick(kNastyInts))),
+        maybe_null(Value::String(pick(kStrings))),
+    }));
+  }
+
+  // Three partitions of uneven size, all folded into one task's sketch.
+  std::vector<TablePartitionPtr> parts;
+  const size_t bounds[] = {0, 1100, 1600, static_cast<size_t>(kRows)};
+  for (size_t p = 0; p + 1 < 4; ++p) {
+    std::vector<Row> slice(rows.begin() + static_cast<long>(bounds[p]),
+                           rows.begin() + static_cast<long>(bounds[p + 1]));
+    parts.push_back(TablePartition::FromRows(schema, slice));
+    for (int c = 0; c < schema.num_fields(); ++c) {
+      EXPECT_EQ(parts.back()->column(c).encoding(),
+                kExpected[static_cast<size_t>(c)])
+          << "partition " << p << " column " << schema.field(c).name;
+    }
+  }
+  PartitionSketch columnar(schema);
+  for (const TablePartitionPtr& part : parts) {
+    columnar.AddPartition(schema, *part);
+  }
+  ExpectSameStatistics(columnar.Finish(),
+                       BuildStatisticsFromRows(schema, rows));
+
+  // One partition per task, merged at the master like ANALYZE does.
+  PartitionSketch merged_columnar;
+  PartitionSketch merged_rows;
+  for (size_t p = 0; p < parts.size(); ++p) {
+    PartitionSketch from_part(schema);
+    from_part.AddPartition(schema, *parts[p]);
+    merged_columnar.Merge(from_part);
+    PartitionSketch from_rows(schema);
+    from_rows.AddRows(schema, parts[p]->ToRows(nullptr));
+    merged_rows.Merge(from_rows);
+  }
+  ExpectSameStatistics(merged_columnar.Finish(), merged_rows.Finish());
 }
 
 // ---------------------------------------------------------------------------
