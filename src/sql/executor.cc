@@ -73,10 +73,40 @@ Row EvalKeyRow(const std::vector<CompiledExpr>& keys, const Row& row) {
   return out;
 }
 
+/// A shuffle's observed bytes in virtual bytes, truncated.
+uint64_t VirtualBytes(const ShuffleStats& stats, double virtual_scale) {
+  return static_cast<uint64_t>(static_cast<double>(stats.total_bytes) *
+                               virtual_scale);
+}
+
 Row ConcatRows(const Row& left, const Row& right) {
   Row out = left;
   out.fields.insert(out.fields.end(), right.fields.begin(), right.fields.end());
   return out;
+}
+
+/// The hash-join kernel shared by the map join and the co-partitioned join:
+/// the build side's rows grouped under their join key.
+JoinTable BuildJoinTable(const std::vector<CompiledExpr>& keys,
+                         std::vector<Row> rows) {
+  JoinTable table;
+  for (Row& r : rows) table[EvalKeyRow(keys, r)].push_back(std::move(r));
+  return table;
+}
+
+/// Appends every (build, probe) match to `out`, columns in (left, right)
+/// order. Charges stay with the callers.
+void ProbeJoinTable(const JoinTable& table,
+                    const std::vector<CompiledExpr>& probe_keys,
+                    const std::vector<Row>& probe, bool build_is_left,
+                    std::vector<Row>* out) {
+  for (const Row& r : probe) {
+    auto it = table.find(EvalKeyRow(probe_keys, r));
+    if (it == table.end()) continue;
+    for (const Row& b : it->second) {
+      out->push_back(build_is_left ? ConcatRows(b, r) : ConcatRows(r, b));
+    }
+  }
 }
 
 /// Narrow-dependency local join of two co-partitioned row RDDs (§3.4): no
@@ -104,32 +134,18 @@ class ZippedJoinRdd final : public TypedRdd<Row> {
     const bool left_build = lrows->size() <= rrows->size();
     const std::vector<Row>& build = left_build ? *lrows : *rrows;
     const std::vector<Row>& probe = left_build ? *rrows : *lrows;
-    const std::vector<CompiledExpr>& build_keys =
-        left_build ? *left_keys_ : *right_keys_;
-    const std::vector<CompiledExpr>& probe_keys =
-        left_build ? *right_keys_ : *left_keys_;
-    JoinTable table;
-    for (const Row& r : build) table[EvalKeyRow(build_keys, r)].push_back(r);
+    JoinTable table =
+        BuildJoinTable(left_build ? *left_keys_ : *right_keys_, build);
     tctx->work().hash_records += build.size() + probe.size();
     tctx->work().rows_processed += build.size() + probe.size();
     // The build table holds the whole smaller side; past the task's budget
     // the join degrades to grace-hash partitions on local disk.
     tctx->ReserveOrSpillHash(ApproxSizeOfRange(build), build.size());
     Block out;
-    for (const Row& r : probe) {
-      auto it = table.find(EvalKeyRow(probe_keys, r));
-      if (it == table.end()) continue;
-      for (const Row& b : it->second) {
-        out.push_back(left_build ? ConcatRows(b, r) : ConcatRows(r, b));
-      }
-    }
+    ProbeJoinTable(table, left_build ? *right_keys_ : *left_keys_, probe,
+                   left_build, &out);
     tctx->ReleaseAllWorkingSet();
     return out;
-  }
-
- protected:
-  std::vector<int> ComputePreferredNodes(int p) const override {
-    return left_->PreferredNodes(p);
   }
 
  private:
@@ -274,6 +290,10 @@ std::string QueryResult::ToString(size_t max_rows) const {
 // Executor
 // ---------------------------------------------------------------------------
 
+bool Executor::Pde() const {
+  return options_.pde && ctx_->profile().pde_enabled;
+}
+
 int Executor::FineBuckets() const {
   if (options_.fine_buckets > 0) return options_.fine_buckets;
   return 2 * ctx_->cluster().total_cores();
@@ -317,10 +337,22 @@ Result<ShuffleStats> Executor::EnsureShuffleTracked(
   return stats;
 }
 
-Result<std::vector<Row>> Executor::CollectTracked(const RddPtr<Row>& rdd) {
-  auto rows = ctx_->Collect(rdd);
-  if (rows.ok()) metrics_.AddJob(ctx_->scheduler().last_job());
-  return rows;
+BucketAssignment Executor::CoalesceObserved(
+    std::initializer_list<const ShuffleStats*> observed, int max_reducers) {
+  std::vector<uint64_t> bucket_bytes;
+  uint64_t virtual_bytes = 0;
+  for (const ShuffleStats* stats : observed) {
+    bucket_bytes.resize(
+        std::max(bucket_bytes.size(), stats->bucket_bytes.size()));
+    for (size_t b = 0; b < stats->bucket_bytes.size(); ++b) {
+      bucket_bytes[b] += stats->bucket_bytes[b];
+    }
+    virtual_bytes += VirtualBytes(*stats, ctx_->virtual_scale());
+  }
+  const int reducers = ChooseNumReducers(
+      virtual_bytes, options_.reducer_target_bytes, max_reducers);
+  metrics_.chosen_reducers = reducers;
+  return CoalesceBuckets(bucket_bytes, reducers);
 }
 
 Result<RddPtr<Row>> Executor::ApplyPredicate(RddPtr<Row> rows,
@@ -394,18 +426,23 @@ RddPtr<TablePartitionPtr> Executor::PruneCachedScan(TableInfo* info,
     }
     selected.push_back(p);
   }
+  return CachedPartitionSubset(info, std::move(selected),
+                               "prunedScan:" + node.table);
+}
+
+RddPtr<TablePartitionPtr> Executor::CachedPartitionSubset(
+    TableInfo* info, std::vector<int> selected, const std::string& label) {
+  const int total = info->cached_rdd->num_partitions();
   // Never prune to zero partitions: downstream shuffles require at least
   // one map partition, and an all-pruned scan still has to produce an
   // (empty) result.
   if (selected.empty() && total > 0) selected.push_back(0);
-  metrics_.partitions_scanned += static_cast<int>(selected.size());
-  metrics_.partitions_pruned += total - static_cast<int>(selected.size());
-  RddPtr<TablePartitionPtr> base = info->cached_rdd;
-  if (static_cast<int>(selected.size()) != total) {
-    base = std::make_shared<PartitionSubsetRdd<TablePartitionPtr>>(
-        info->cached_rdd, selected, "prunedScan:" + node.table);
-  }
-  return base;
+  const int scanned = static_cast<int>(selected.size());
+  metrics_.partitions_scanned += scanned;
+  metrics_.partitions_pruned += total - scanned;
+  if (scanned == total) return info->cached_rdd;
+  return std::make_shared<PartitionSubsetRdd<TablePartitionPtr>>(
+      info->cached_rdd, std::move(selected), label);
 }
 
 bool Executor::PrepareVecScan(const LogicalPlan& node, vec::VecScan* out) {
@@ -511,18 +548,9 @@ Result<RddPtr<Row>> Executor::BuildIndexScan(const LogicalPlan& node) {
     }
     rows_by_pos->back().push_back(post.row);
   }
-  // Never prune to zero partitions (same convention as PruneCachedScan).
-  if (selected.empty() && total > 0) {
-    selected.push_back(0);
-    rows_by_pos->emplace_back();
-  }
-  metrics_.partitions_scanned += static_cast<int>(selected.size());
-  metrics_.partitions_pruned += total - static_cast<int>(selected.size());
-  RddPtr<TablePartitionPtr> base = info->cached_rdd;
-  if (static_cast<int>(selected.size()) != total) {
-    base = std::make_shared<PartitionSubsetRdd<TablePartitionPtr>>(
-        info->cached_rdd, selected, "prunedIndexScan:" + node.table);
-  }
+  // A partition the subset adds beyond `rows_by_pos` gathers no rows.
+  RddPtr<TablePartitionPtr> base = CachedPartitionSubset(
+      info, std::move(selected), "prunedIndexScan:" + node.table);
 
   // Scan contract: full table arity out, NULL for undecoded columns.
   const size_t arity = info->schema.fields().size();
@@ -623,7 +651,7 @@ Result<RddPtr<Row>> Executor::BuildAggregate(const LogicalPlan& node) {
   SHARK_ASSIGN_OR_RETURN(Programs agg_args, CompileAll(arg_exprs, udfs_));
   auto calls = std::make_shared<const std::vector<AggCall>>(node.agg_calls);
 
-  const bool pde = options_.pde && ctx_->profile().pde_enabled;
+  const bool pde = Pde();
   int buckets = pde ? FineBuckets() : StaticReducers(node);
 
   std::shared_ptr<ShuffleDependency> dep;
@@ -657,12 +685,7 @@ Result<RddPtr<Row>> Executor::BuildAggregate(const LogicalPlan& node) {
   BucketAssignment assignment;
   if (pde) {
     SHARK_ASSIGN_OR_RETURN(ShuffleStats stats, EnsureShuffleTracked(dep));
-    uint64_t virtual_bytes = static_cast<uint64_t>(
-        static_cast<double>(stats.total_bytes) * ctx_->virtual_scale());
-    int reducers = ChooseNumReducers(virtual_bytes,
-                                     options_.reducer_target_bytes, buckets);
-    metrics_.chosen_reducers = reducers;
-    assignment = CoalesceBuckets(stats.bucket_bytes, reducers);
+    assignment = CoalesceObserved({&stats}, buckets);
   } else {
     metrics_.chosen_reducers = buckets;
     assignment = IdentityAssignment(buckets);
@@ -776,8 +799,7 @@ Result<RddPtr<Row>> Executor::BuildJoin(const PlanPtr& plan) {
   // cost-based order, re-enumerating the tail when observed cardinalities
   // drift from the estimates.
   if (options_.cbo && !options_.force_left_deep &&
-      options_.replan_factor > 0 && options_.pde &&
-      ctx_->profile().pde_enabled &&
+      options_.replan_factor > 0 && Pde() &&
       options_.join_opt != JoinOptimization::kStatic &&
       node.join_type == JoinType::kInner) {
     bool applied = false;
@@ -800,258 +822,154 @@ Result<RddPtr<Row>> Executor::BuildJoinPair(
     std::vector<ExprPtr> right_keys, JoinType join_type, int left_width,
     int right_width, const ExprPtr& residual, double left_belief,
     double right_belief, int static_reducers, JoinSideObservation* obs) {
+  // One join input: what is believed of it and, once it is pre-shuffled,
+  // what the master observed.
+  struct Side {
+    RddPtr<Row> rows;
+    Programs keys;
+    const char* key_label;
+    double belief;  // static size belief, virtual bytes
+    std::shared_ptr<PlainShuffleDep<std::pair<Row, Row>>> dep = nullptr;
+    ShuffleStats stats = {};  // set by the pre-shuffle
+    uint64_t observed = 0;    // observed virtual bytes
+  };
   SHARK_ASSIGN_OR_RETURN(Programs lkeys, CompileAll(left_keys, udfs_));
   SHARK_ASSIGN_OR_RETURN(Programs rkeys, CompileAll(right_keys, udfs_));
+  Side sides[2] = {{std::move(left), lkeys, "joinKeyL", left_belief},
+                   {std::move(right), rkeys, "joinKeyR", right_belief}};
+  const bool inner = join_type == JoinType::kInner;
+  const JoinOptimization mode =
+      Pde() ? options_.join_opt : JoinOptimization::kStatic;
+  static const char* const kModeNames[] = {"static", "adaptive",
+                                           "static+adaptive"};
 
-  auto observe = [obs](bool is_left, uint64_t records, uint64_t bytes) {
-    if (obs == nullptr) return;
-    if (is_left) {
-      obs->left_observed = true;
-      obs->left_records = records;
-      obs->left_bytes = bytes;
-    } else {
-      obs->right_observed = true;
-      obs->right_records = records;
-      obs->right_bytes = bytes;
+  // Hash-partitions a side's (key, row) pairs into `buckets`.
+  auto partition = [](Side& s, int buckets) {
+    auto keyed = s.rows->Map(
+        [keys = s.keys](const Row& r) {
+          return std::make_pair(EvalKeyRow(*keys, r), r);
+        },
+        s.key_label);
+    s.dep = MakeHashPartitionDep<Row, Row>(keyed, buckets);
+  };
+  // Runs a side's map stage into the fine buckets, so the master sees its
+  // size before anything depends on it (§3.1.1).
+  auto pre_shuffle = [&](int side) -> Status {
+    Side& s = sides[side];
+    partition(s, FineBuckets());
+    SHARK_ASSIGN_OR_RETURN(s.stats, EnsureShuffleTracked(s.dep));
+    s.observed = VirtualBytes(s.stats, ctx_->virtual_scale());
+    if (obs != nullptr) {
+      (side == 0 ? obs->left_records : obs->right_records) =
+          s.stats.total_records;
     }
+    return Status::OK();
   };
 
-  auto key_left = [lkeys](const Row& r) {
-    return std::make_pair(EvalKeyRow(*lkeys, r), r);
-  };
-  auto key_right = [rkeys](const Row& r) {
-    return std::make_pair(EvalKeyRow(*rkeys, r), r);
-  };
+  // 1. Observe. Static+adaptive pre-shuffles only the believed-small input
+  // of an inner join, so a broadcast never launches tasks on the large one;
+  // every other PDE lowering pre-shuffles both, left first.
+  const int believed_small = left_belief <= right_belief ? 0 : 1;
+  if (mode == JoinOptimization::kStaticAdaptive && inner) {
+    SHARK_RETURN_NOT_OK(pre_shuffle(believed_small));
+  } else if (mode != JoinOptimization::kStatic) {
+    SHARK_RETURN_NOT_OK(pre_shuffle(0));
+    SHARK_RETURN_NOT_OK(pre_shuffle(1));
+  }
 
-  const int fine = FineBuckets();
-  auto build_map_join = [&](RddPtr<Row> build_rows,
-                            std::shared_ptr<PlainShuffleDep<std::pair<Row, Row>>>
-                                build_dep,
-                            RddPtr<Row> probe, bool build_is_left)
-      -> Result<RddPtr<Row>> {
-    // Gather the (small) build side. Reuse its materialized map outputs when
-    // a pre-shuffle already ran; otherwise collect it directly.
-    std::vector<Row> build_side;
-    if (build_dep != nullptr) {
-      std::vector<int> all_buckets;
-      for (int b = 0; b < build_dep->num_buckets(); ++b) all_buckets.push_back(b);
+  // 2. Decide. A map join cannot emit the build side's unmatched rows, so
+  // only inner joins broadcast. The build candidate is the smaller input by
+  // observed bytes under adaptive and by belief otherwise; it broadcasts
+  // when its known size (observed if pre-shuffled) is under the threshold.
+  std::optional<int> build;
+  if (inner) {
+    const int candidate =
+        mode == JoinOptimization::kAdaptive
+            ? (sides[0].observed <= sides[1].observed ? 0 : 1)
+            : believed_small;
+    const Side& c = sides[candidate];
+    const uint64_t threshold = options_.broadcast_threshold_bytes;
+    if (c.dep != nullptr ? c.observed <= threshold
+                         : c.belief <= static_cast<double>(threshold)) {
+      build = candidate;
+    }
+  }
+
+  // 3. Build.
+  metrics_.join_strategy =
+      std::string(build.has_value() ? "map join (" : "shuffle join (") +
+      (inner ? kModeNames[static_cast<int>(mode)] : "outer") + ")";
+  RddPtr<Row> joined;
+  if (build.has_value()) {
+    const Side& b = sides[*build];
+    // Gather the build side: from its map outputs when it was pre-shuffled,
+    // straight from its rows otherwise.
+    std::vector<Row> build_rows;
+    if (b.dep != nullptr) {
       using RowPair = std::pair<Row, Row>;
+      std::vector<int> all_buckets(static_cast<size_t>(b.dep->num_buckets()));
+      std::iota(all_buckets.begin(), all_buckets.end(), 0);
       auto gathered = std::make_shared<RepartitionedRdd<RowPair>>(
-          ctx_, build_dep, BucketAssignment{all_buckets}, "gatherSmallSide");
-      SHARK_ASSIGN_OR_RETURN(std::vector<RowPair> pairs,
-                             ctx_->Collect(gathered));
-      metrics_.AddJob(ctx_->scheduler().last_job());
-      for (auto& [k, v] : pairs) build_side.push_back(std::move(v));
+          ctx_, b.dep, BucketAssignment{all_buckets}, "gatherSmallSide");
+      SHARK_ASSIGN_OR_RETURN(auto pairs, CollectTracked<RowPair>(gathered));
+      for (auto& [k, v] : pairs) build_rows.push_back(std::move(v));
     } else {
-      SHARK_ASSIGN_OR_RETURN(build_side, CollectTracked(build_rows));
+      SHARK_ASSIGN_OR_RETURN(build_rows, CollectTracked(b.rows));
     }
-    observe(build_is_left, build_side.size(), ApproxSizeOfRange(build_side));
-    JoinTable table;
-    const std::vector<CompiledExpr>& build_keys =
-        build_is_left ? *lkeys : *rkeys;
-    for (Row& r : build_side) {
-      table[EvalKeyRow(build_keys, r)].push_back(std::move(r));
-    }
-    int broadcast_id = ctx_->Broadcast(std::move(table));
-    auto probe_keys = build_is_left ? rkeys : lkeys;
-    return RddPtr<Row>(probe->MapPartitions(
-        [broadcast_id, probe_keys, build_is_left](
+    const int broadcast_id =
+        ctx_->Broadcast(BuildJoinTable(*b.keys, std::move(build_rows)));
+    const Side& probe = sides[1 - *build];
+    joined = probe.rows->MapPartitions(
+        [broadcast_id, probe_keys = probe.keys, build_is_left = *build == 0](
             int, const std::vector<Row>& in, TaskContext* tctx) {
-          auto bc = GetBroadcast<JoinTable>(tctx, broadcast_id);
+          auto table = GetBroadcast<JoinTable>(tctx, broadcast_id);
           std::vector<Row> out;
-          for (const Row& r : in) {
-            auto it = bc->find(EvalKeyRow(*probe_keys, r));
-            if (it == bc->end()) continue;
-            for (const Row& b : it->second) {
-              out.push_back(build_is_left ? ConcatRows(b, r) : ConcatRows(r, b));
-            }
-          }
+          ProbeJoinTable(*table, *probe_keys, in, build_is_left, &out);
           tctx->work().rows_processed += in.size();
           tctx->work().hash_records += in.size();
           return out;
         },
-        "mapJoinProbe"));
-  };
-
-  auto shuffle_join = [&, join_type, left_width, right_width](
-                          std::shared_ptr<PlainShuffleDep<std::pair<Row, Row>>>
-                              ldep,
-                          std::shared_ptr<PlainShuffleDep<std::pair<Row, Row>>>
-                              rdep,
-                          const BucketAssignment& assignment)
-      -> Result<RddPtr<Row>> {
+        "mapJoinProbe");
+  } else {
+    // Shuffle join: hash-partitioned straight into the static reducer
+    // count, or PDE's reducer choice over both inputs' fine buckets.
+    BucketAssignment assignment;
+    if (mode == JoinOptimization::kStatic) {
+      for (Side& s : sides) partition(s, static_reducers);
+      metrics_.chosen_reducers = static_reducers;
+      assignment = IdentityAssignment(static_reducers);
+    } else {
+      for (int side : {0, 1}) {
+        if (sides[side].dep == nullptr) SHARK_RETURN_NOT_OK(pre_shuffle(side));
+      }
+      assignment = CoalesceObserved({&sides[0].stats, &sides[1].stats},
+                                    FineBuckets());
+    }
     auto cogrouped = std::make_shared<CoGroupedRdd<Row, Row, Row>>(
-        ctx_, ldep, rdep, assignment, "shuffleJoin");
+        ctx_, sides[0].dep, sides[1].dep, assignment, "shuffleJoin");
     using CoElem = CoGroupedRdd<Row, Row, Row>::Element;
-    return RddPtr<Row>(cogrouped->FlatMap(
-        [join_type, left_width, right_width](const CoElem& e) {
+    const Row left_nulls(
+        std::vector<Value>(static_cast<size_t>(left_width), Value::Null()));
+    const Row right_nulls(
+        std::vector<Value>(static_cast<size_t>(right_width), Value::Null()));
+    joined = cogrouped->FlatMap(
+        [join_type, left_nulls, right_nulls](const CoElem& e) {
           std::vector<Row> out;
           const auto& lv = e.second.first;
           const auto& rv = e.second.second;
           for (const Row& l : lv) {
-            for (const Row& r : rv) {
-              out.push_back(ConcatRows(l, r));
-            }
+            for (const Row& r : rv) out.push_back(ConcatRows(l, r));
           }
           // Null-extend the preserved side of an outer join (§SQL).
           if (join_type == JoinType::kLeftOuter && rv.empty()) {
-            Row nulls;
-            nulls.fields.assign(static_cast<size_t>(right_width), Value::Null());
-            for (const Row& l : lv) out.push_back(ConcatRows(l, nulls));
+            for (const Row& l : lv) out.push_back(ConcatRows(l, right_nulls));
           }
           if (join_type == JoinType::kRightOuter && lv.empty()) {
-            Row nulls;
-            nulls.fields.assign(static_cast<size_t>(left_width), Value::Null());
-            for (const Row& r : rv) out.push_back(ConcatRows(nulls, r));
+            for (const Row& r : rv) out.push_back(ConcatRows(left_nulls, r));
           }
           return out;
         },
-        "joinOutput"));
-  };
-
-  auto make_dep = [&](RddPtr<Row> rows, bool is_left) {
-    auto keyed = is_left ? rows->Map(key_left, "joinKeyL")
-                         : rows->Map(key_right, "joinKeyR");
-    return MakeHashPartitionDep<Row, Row>(keyed, fine);
-  };
-
-  JoinOptimization mode = options_.join_opt;
-  if (!ctx_->profile().pde_enabled && mode != JoinOptimization::kStatic) {
-    mode = JoinOptimization::kStatic;
-  }
-  // A broadcast (map) join cannot emit the build side's unmatched rows, so
-  // outer joins always take the shuffle-join path.
-  if (join_type != JoinType::kInner) {
-    metrics_.join_strategy = "shuffle join (outer)";
-    int reducers = static_reducers;
-    BucketAssignment assignment;
-    std::shared_ptr<PlainShuffleDep<std::pair<Row, Row>>> ldep;
-    std::shared_ptr<PlainShuffleDep<std::pair<Row, Row>>> rdep;
-    if (mode != JoinOptimization::kStatic) {
-      ldep = make_dep(left, true);
-      rdep = make_dep(right, false);
-      SHARK_ASSIGN_OR_RETURN(ShuffleStats lstats, EnsureShuffleTracked(ldep));
-      SHARK_ASSIGN_OR_RETURN(ShuffleStats rstats, EnsureShuffleTracked(rdep));
-      observe(true, lstats.total_records, lstats.total_bytes);
-      observe(false, rstats.total_records, rstats.total_bytes);
-      std::vector<uint64_t> combined(lstats.bucket_bytes);
-      for (size_t i = 0; i < combined.size(); ++i) {
-        combined[i] += rstats.bucket_bytes[i];
-      }
-      uint64_t total_virtual = static_cast<uint64_t>(
-          static_cast<double>(lstats.total_bytes + rstats.total_bytes) *
-          ctx_->virtual_scale());
-      reducers = ChooseNumReducers(total_virtual,
-                                   options_.reducer_target_bytes, fine);
-      assignment = CoalesceBuckets(combined, reducers);
-    } else {
-      auto keyed_l = left->Map(key_left, "joinKeyL");
-      auto keyed_r = right->Map(key_right, "joinKeyR");
-      ldep = MakeHashPartitionDep<Row, Row>(keyed_l, reducers);
-      rdep = MakeHashPartitionDep<Row, Row>(keyed_r, reducers);
-      assignment = IdentityAssignment(reducers);
-    }
-    metrics_.chosen_reducers = reducers;
-    SHARK_ASSIGN_OR_RETURN(RddPtr<Row> joined_outer,
-                           shuffle_join(ldep, rdep, assignment));
-    return ApplyPredicate(joined_outer, residual, "joinResidual");
-  }
-
-  RddPtr<Row> joined;
-  switch (mode) {
-    case JoinOptimization::kStatic: {
-      // Compile-time choice on catalog beliefs only.
-      double small_belief = std::min(left_belief, right_belief);
-      if (small_belief <= static_cast<double>(options_.broadcast_threshold_bytes)) {
-        bool build_is_left = left_belief <= right_belief;
-        metrics_.join_strategy = "map join (static)";
-        SHARK_ASSIGN_OR_RETURN(
-            joined, build_map_join(build_is_left ? left : right, nullptr,
-                                   build_is_left ? right : left, build_is_left));
-      } else {
-        metrics_.join_strategy = "shuffle join (static)";
-        int reducers = static_reducers;
-        auto keyed_l = left->Map(key_left, "joinKeyL");
-        auto keyed_r = right->Map(key_right, "joinKeyR");
-        auto ldep = MakeHashPartitionDep<Row, Row>(keyed_l, reducers);
-        auto rdep = MakeHashPartitionDep<Row, Row>(keyed_r, reducers);
-        SHARK_ASSIGN_OR_RETURN(joined,
-                               shuffle_join(ldep, rdep,
-                                            IdentityAssignment(reducers)));
-      }
-      break;
-    }
-    case JoinOptimization::kAdaptive: {
-      // Pre-shuffle both sides, then decide from observed sizes.
-      auto ldep = make_dep(left, true);
-      auto rdep = make_dep(right, false);
-      SHARK_ASSIGN_OR_RETURN(ShuffleStats lstats, EnsureShuffleTracked(ldep));
-      SHARK_ASSIGN_OR_RETURN(ShuffleStats rstats, EnsureShuffleTracked(rdep));
-      observe(true, lstats.total_records, lstats.total_bytes);
-      observe(false, rstats.total_records, rstats.total_bytes);
-      uint64_t lv = static_cast<uint64_t>(
-          static_cast<double>(lstats.total_bytes) * ctx_->virtual_scale());
-      uint64_t rv = static_cast<uint64_t>(
-          static_cast<double>(rstats.total_bytes) * ctx_->virtual_scale());
-      if (std::min(lv, rv) <= options_.broadcast_threshold_bytes) {
-        bool build_is_left = lv <= rv;
-        metrics_.join_strategy = "map join (adaptive)";
-        SHARK_ASSIGN_OR_RETURN(
-            joined,
-            build_map_join(build_is_left ? left : right,
-                           build_is_left ? ldep : rdep,
-                           build_is_left ? right : left, build_is_left));
-      } else {
-        metrics_.join_strategy = "shuffle join (adaptive)";
-        std::vector<uint64_t> combined(lstats.bucket_bytes);
-        for (size_t i = 0; i < combined.size(); ++i) {
-          combined[i] += rstats.bucket_bytes[i];
-        }
-        uint64_t total_virtual = lv + rv;
-        int reducers = ChooseNumReducers(total_virtual,
-                                         options_.reducer_target_bytes, fine);
-        metrics_.chosen_reducers = reducers;
-        SHARK_ASSIGN_OR_RETURN(
-            joined, shuffle_join(ldep, rdep, CoalesceBuckets(combined, reducers)));
-      }
-      break;
-    }
-    case JoinOptimization::kStaticAdaptive: {
-      // Use the static belief to pre-shuffle only the likely-small side
-      // first; avoid ever launching pre-shuffle tasks on the large table if
-      // the small side broadcasts (§3.1.1's scheduling refinement).
-      bool small_is_left = left_belief <= right_belief;
-      auto sdep = make_dep(small_is_left ? left : right, small_is_left);
-      SHARK_ASSIGN_OR_RETURN(ShuffleStats sstats, EnsureShuffleTracked(sdep));
-      observe(small_is_left, sstats.total_records, sstats.total_bytes);
-      uint64_t sv = static_cast<uint64_t>(
-          static_cast<double>(sstats.total_bytes) * ctx_->virtual_scale());
-      if (sv <= options_.broadcast_threshold_bytes) {
-        metrics_.join_strategy = "map join (static+adaptive)";
-        SHARK_ASSIGN_OR_RETURN(
-            joined, build_map_join(small_is_left ? left : right, sdep,
-                                   small_is_left ? right : left, small_is_left));
-      } else {
-        auto odep = make_dep(small_is_left ? right : left, !small_is_left);
-        SHARK_ASSIGN_OR_RETURN(ShuffleStats ostats, EnsureShuffleTracked(odep));
-        observe(!small_is_left, ostats.total_records, ostats.total_bytes);
-        metrics_.join_strategy = "shuffle join (static+adaptive)";
-        std::vector<uint64_t> combined(sstats.bucket_bytes);
-        for (size_t i = 0; i < combined.size(); ++i) {
-          combined[i] += ostats.bucket_bytes[i];
-        }
-        uint64_t ov = static_cast<uint64_t>(
-            static_cast<double>(ostats.total_bytes) * ctx_->virtual_scale());
-        int reducers =
-            ChooseNumReducers(sv + ov, options_.reducer_target_bytes, fine);
-        metrics_.chosen_reducers = reducers;
-        auto ldep = small_is_left ? sdep : odep;
-        auto rdep = small_is_left ? odep : sdep;
-        SHARK_ASSIGN_OR_RETURN(
-            joined, shuffle_join(ldep, rdep, CoalesceBuckets(combined, reducers)));
-      }
-      break;
-    }
+        "joinOutput");
   }
   return ApplyPredicate(joined, residual, "joinResidual");
 }
@@ -1247,22 +1165,18 @@ Result<RddPtr<Row>> Executor::BuildJoinSpine(const PlanPtr& plan,
     // Fold observed input sizes back into the estimates (§4's statistics
     // feedback) and measure how far off the beliefs were.
     double deviation = 1.0;
-    double comp_in = std::max(cur_rows, 1.0);
-    if (obsv.left_observed) {
-      double actual = std::max<double>(static_cast<double>(obsv.left_records),
-                                       1.0);
-      deviation = std::max(deviation,
-                           std::max(actual / comp_in, comp_in / actual));
-      comp_in = actual;
-    }
-    double leaf_in = std::max(leaf.rows, 1.0);
-    if (obsv.right_observed) {
-      double actual = std::max<double>(static_cast<double>(obsv.right_records),
-                                       1.0);
-      deviation = std::max(deviation,
-                           std::max(actual / leaf_in, leaf_in / actual));
-      leaf_in = actual;
-      g.leaves[static_cast<size_t>(li)].rows = actual;
+    auto fold = [&deviation](const std::optional<uint64_t>& records,
+                             double estimate) {
+      estimate = std::max(estimate, 1.0);
+      if (!records.has_value()) return estimate;
+      const double actual = std::max(static_cast<double>(*records), 1.0);
+      deviation = std::max({deviation, actual / estimate, estimate / actual});
+      return actual;
+    };
+    const double comp_in = fold(obsv.left_records, cur_rows);
+    const double leaf_in = fold(obsv.right_records, leaf.rows);
+    if (obsv.right_records.has_value()) {
+      g.leaves[static_cast<size_t>(li)].rows = leaf_in;
     }
 
     const int remaining = n - 1 - i;
@@ -1276,14 +1190,14 @@ Result<RddPtr<Row>> Executor::BuildJoinSpine(const PlanPtr& plan,
       // abandon the pair and take that order instead.
       std::vector<int> pool(order.begin() + i, order.end());
       std::vector<int> corrected = replan_remaining(
-          obsv.left_observed ? comp_in : cur_rows, cur_row_width, mask, pool,
-          preds_saved);
+          obsv.left_records.has_value() ? comp_in : cur_rows, cur_row_width,
+          mask, pool, preds_saved);
       if (!corrected.empty() && corrected[0] != li) {
         --aborts_left;
         cur = prev;
         local_of_global = log_saved;
         pred_applied = preds_saved;
-        if (obsv.left_observed) cur_rows = comp_in;
+        if (obsv.left_records.has_value()) cur_rows = comp_in;
         std::copy(corrected.begin(), corrected.end(), order.begin() + i);
         metrics_.replans += 1;
         continue;  // redo position i with the corrected order

@@ -1,11 +1,14 @@
 #ifndef SHARK_SQL_EXECUTOR_H_
 #define SHARK_SQL_EXECUTOR_H_
 
+#include <initializer_list>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "rdd/context.h"
+#include "rdd/pair_rdd.h"
 #include "relation/row.h"
 #include "sql/catalog.h"
 #include "sql/expr.h"
@@ -148,21 +151,19 @@ class Executor {
   Result<RddPtr<Row>> BuildSort(const LogicalPlan& node);
   Result<RddPtr<Row>> BuildLimit(const LogicalPlan& node);
 
-  /// Pre-shuffle sizes of one join step's inputs as observed by the master
+  /// Record counts of one join step's inputs as observed by the master
   /// (§3.1's PDE statistics). A side is observed only when the chosen
-  /// strategy actually pre-shuffled or gathered it.
+  /// strategy pre-shuffled it.
   struct JoinSideObservation {
-    bool left_observed = false;
-    bool right_observed = false;
-    uint64_t left_records = 0;
-    uint64_t right_records = 0;
-    uint64_t left_bytes = 0;
-    uint64_t right_bytes = 0;
+    std::optional<uint64_t> left_records;
+    std::optional<uint64_t> right_records;
   };
 
-  /// Joins two already-built row RDDs with the static+adaptive strategy
-  /// selection. Beliefs are in virtual bytes; `obs` (may be null) receives
-  /// observed pre-shuffle input sizes for mid-query re-optimization.
+  /// Joins two already-built row RDDs under `join_opt` in one pass: observe
+  /// (pre-shuffle what the mode looks at), decide (broadcast a small inner
+  /// build side), build (map join or shuffle join). Beliefs are in virtual
+  /// bytes; `obs` (may be null) receives observed input record counts for
+  /// mid-query re-optimization.
   Result<RddPtr<Row>> BuildJoinPair(RddPtr<Row> left, RddPtr<Row> right,
                                     std::vector<ExprPtr> left_keys,
                                     std::vector<ExprPtr> right_keys,
@@ -201,12 +202,27 @@ class Executor {
   RddPtr<TablePartitionPtr> PruneCachedScan(TableInfo* info,
                                             const LogicalPlan& node);
 
+  /// The `selected` partitions of a cached table (never none), labelled
+  /// `label` when that is a strict subset; counts them as scanned and the
+  /// rest as pruned.
+  RddPtr<TablePartitionPtr> CachedPartitionSubset(TableInfo* info,
+                                                  std::vector<int> selected,
+                                                  const std::string& label);
+
   /// Filters rows by a predicate compiled once here (error if it does not
   /// compile); null predicate = no filter.
   Result<RddPtr<Row>> ApplyPredicate(RddPtr<Row> rows, const ExprPtr& predicate,
                                      const std::string& label);
 
+  /// Run-time reducer selection is on: the option and the engine agree.
+  bool Pde() const;
   int FineBuckets() const;
+  /// PDE's reducer choice (§3.1) from the observed shuffles of one stage:
+  /// ChooseNumReducers over their summed virtual bytes (each shuffle's
+  /// bytes scaled and truncated on its own), at most `max_reducers`,
+  /// recorded in the metrics; the fine buckets are coalesced to that count.
+  BucketAssignment CoalesceObserved(
+      std::initializer_list<const ShuffleStats*> observed, int max_reducers);
   /// Static reducer choice for the stage rooted at `node` (Hive heuristic
   /// when bytes_per_reducer is configured).
   int StaticReducers(const LogicalPlan& node) const;
@@ -216,7 +232,12 @@ class Executor {
       const std::shared_ptr<ShuffleDependency>& dep);
 
   /// Collects an RDD and folds job metrics in.
-  Result<std::vector<Row>> CollectTracked(const RddPtr<Row>& rdd);
+  template <typename T>
+  Result<std::vector<T>> CollectTracked(const RddPtr<T>& rdd) {
+    auto rows = ctx_->Collect(rdd);
+    if (rows.ok()) metrics_.AddJob(ctx_->scheduler().last_job());
+    return rows;
+  }
 
   ClusterContext* ctx_;
   Catalog* catalog_;

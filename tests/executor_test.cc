@@ -78,6 +78,128 @@ TEST_F(ExecutorTest, ForcedBroadcastMatchesShuffle) {
   EXPECT_EQ(shuffle->rows[0], broadcast->rows[0]);
 }
 
+/// One row of the join strategy matrix: the lowering's observable choices
+/// for a join type, a table order and a broadcast threshold under one mode.
+struct JoinMatrixCase {
+  JoinOptimization mode;
+  const char* join;  // "JOIN" | "LEFT OUTER JOIN" | "RIGHT OUTER JOIN"
+  bool small_left;   // rt (80 rows) written first instead of lt (200 rows)
+  uint64_t threshold;
+  const char* strategy;
+  int reducers;
+  int jobs;
+};
+
+TEST_F(ExecutorTest, JoinStrategyMatrix) {
+  constexpr JoinOptimization kS = JoinOptimization::kStatic;
+  constexpr JoinOptimization kA = JoinOptimization::kAdaptive;
+  constexpr JoinOptimization kSA = JoinOptimization::kStaticAdaptive;
+  constexpr uint64_t kNever = 0;
+  constexpr uint64_t kAlways = 1ULL << 40;
+  const JoinMatrixCase cases[] = {
+      {kS, "JOIN", false, kNever, "shuffle join (static)", 8, 1},
+      {kS, "JOIN", false, kAlways, "map join (static)", 0, 2},
+      {kS, "JOIN", true, kNever, "shuffle join (static)", 8, 1},
+      {kS, "JOIN", true, kAlways, "map join (static)", 0, 2},
+      {kS, "LEFT OUTER JOIN", false, kNever, "shuffle join (outer)", 8, 1},
+      {kS, "LEFT OUTER JOIN", false, kAlways, "shuffle join (outer)", 8, 1},
+      {kS, "LEFT OUTER JOIN", true, kNever, "shuffle join (outer)", 8, 1},
+      {kS, "LEFT OUTER JOIN", true, kAlways, "shuffle join (outer)", 8, 1},
+      {kS, "RIGHT OUTER JOIN", false, kNever, "shuffle join (outer)", 8, 1},
+      {kS, "RIGHT OUTER JOIN", false, kAlways, "shuffle join (outer)", 8, 1},
+      {kS, "RIGHT OUTER JOIN", true, kNever, "shuffle join (outer)", 8, 1},
+      {kS, "RIGHT OUTER JOIN", true, kAlways, "shuffle join (outer)", 8, 1},
+      {kA, "JOIN", false, kNever, "shuffle join (adaptive)", 1, 3},
+      {kA, "JOIN", false, kAlways, "map join (adaptive)", 0, 4},
+      {kA, "JOIN", true, kNever, "shuffle join (adaptive)", 1, 3},
+      {kA, "JOIN", true, kAlways, "map join (adaptive)", 0, 4},
+      {kA, "LEFT OUTER JOIN", false, kNever, "shuffle join (outer)", 1, 3},
+      {kA, "LEFT OUTER JOIN", false, kAlways, "shuffle join (outer)", 1, 3},
+      {kA, "LEFT OUTER JOIN", true, kNever, "shuffle join (outer)", 1, 3},
+      {kA, "LEFT OUTER JOIN", true, kAlways, "shuffle join (outer)", 1, 3},
+      {kA, "RIGHT OUTER JOIN", false, kNever, "shuffle join (outer)", 1, 3},
+      {kA, "RIGHT OUTER JOIN", false, kAlways, "shuffle join (outer)", 1, 3},
+      {kA, "RIGHT OUTER JOIN", true, kNever, "shuffle join (outer)", 1, 3},
+      {kA, "RIGHT OUTER JOIN", true, kAlways, "shuffle join (outer)", 1, 3},
+      {kSA, "JOIN", false, kNever, "shuffle join (static+adaptive)", 1, 3},
+      {kSA, "JOIN", false, kAlways, "map join (static+adaptive)", 0, 3},
+      {kSA, "JOIN", true, kNever, "shuffle join (static+adaptive)", 1, 3},
+      {kSA, "JOIN", true, kAlways, "map join (static+adaptive)", 0, 3},
+      {kSA, "LEFT OUTER JOIN", false, kNever, "shuffle join (outer)", 1, 3},
+      {kSA, "LEFT OUTER JOIN", false, kAlways, "shuffle join (outer)", 1, 3},
+      {kSA, "LEFT OUTER JOIN", true, kNever, "shuffle join (outer)", 1, 3},
+      {kSA, "LEFT OUTER JOIN", true, kAlways, "shuffle join (outer)", 1, 3},
+      {kSA, "RIGHT OUTER JOIN", false, kNever, "shuffle join (outer)", 1, 3},
+      {kSA, "RIGHT OUTER JOIN", false, kAlways, "shuffle join (outer)", 1, 3},
+      {kSA, "RIGHT OUTER JOIN", true, kNever, "shuffle join (outer)", 1, 3},
+      {kSA, "RIGHT OUTER JOIN", true, kAlways, "shuffle join (outer)", 1, 3},
+  };
+  // Cases that preserve the same table (none for inner joins) must return
+  // the same rows whatever the strategy.
+  std::map<std::string, std::multiset<std::string>> by_preserved;
+  for (const JoinMatrixCase& c : cases) {
+    const std::string join = c.join;
+    const std::string first = c.small_left ? "rt" : "lt";
+    const std::string second = c.small_left ? "lt" : "rt";
+    std::string preserved = "none";
+    if (join == "LEFT OUTER JOIN") preserved = first;
+    if (join == "RIGHT OUTER JOIN") preserved = second;
+    const std::string q = "SELECT lt.k, lv, rt.k, rv FROM " + first + " " +
+                          join + " " + second + " ON " + first + ".k = " +
+                          second + ".k";
+    session_->options().join_opt = c.mode;
+    session_->options().broadcast_threshold_bytes = c.threshold;
+    auto r = session_->Sql(q);
+    ASSERT_TRUE(r.ok()) << q << ": " << r.status().ToString();
+    SCOPED_TRACE(q + " mode=" + std::to_string(static_cast<int>(c.mode)) +
+                 " threshold=" + std::to_string(c.threshold));
+    EXPECT_EQ(r->metrics.join_strategy, c.strategy);
+    EXPECT_EQ(r->metrics.chosen_reducers, c.reducers);
+    EXPECT_EQ(r->metrics.jobs, c.jobs);
+    auto [it, fresh] = by_preserved.emplace(preserved, Rows(*r));
+    if (!fresh) {
+      EXPECT_EQ(Rows(*r), it->second);
+    }
+  }
+  EXPECT_EQ(by_preserved["none"].size(), 200u);
+  EXPECT_EQ(by_preserved["lt"].size(), 200u);
+  EXPECT_EQ(by_preserved["rt"].size(), 230u);
+}
+
+TEST_F(ExecutorTest, JoinsHonourPdeOff) {
+  // pde = false turns run-time selection off: the join lowers as under
+  // kStatic, with no pre-shuffle job, whatever join_opt asks for.
+  const std::string q = "SELECT lt.k, lv, rv FROM lt JOIN rt ON lt.k = rt.k";
+  for (uint64_t threshold : {uint64_t{0}, uint64_t{1} << 40}) {
+    session_->options().broadcast_threshold_bytes = threshold;
+    session_->options().pde = true;
+    session_->options().join_opt = JoinOptimization::kStatic;
+    auto fixed = session_->Sql(q);
+    ASSERT_TRUE(fixed.ok()) << fixed.status().ToString();
+    session_->options().pde = false;
+    session_->options().join_opt = JoinOptimization::kAdaptive;
+    auto off = session_->Sql(q);
+    ASSERT_TRUE(off.ok()) << off.status().ToString();
+    const std::string& strategy = off->metrics.join_strategy;
+    EXPECT_EQ(strategy, fixed->metrics.join_strategy);
+    ASSERT_GE(strategy.size(), 8u);
+    EXPECT_EQ(strategy.substr(strategy.size() - 8), "(static)");
+    EXPECT_EQ(off->metrics.jobs, fixed->metrics.jobs);
+    EXPECT_EQ(off->metrics.chosen_reducers, fixed->metrics.chosen_reducers);
+    EXPECT_EQ(Rows(*off), Rows(*fixed));
+  }
+}
+
+TEST_F(ExecutorTest, StaticShuffleJoinReportsReducers) {
+  session_->options().join_opt = JoinOptimization::kStatic;
+  session_->options().broadcast_threshold_bytes = 0;
+  session_->options().static_reducers = 5;
+  auto r = session_->Sql("SELECT lt.k, lv, rv FROM lt JOIN rt ON lt.k = rt.k");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->metrics.join_strategy, "shuffle join (static)");
+  EXPECT_EQ(r->metrics.chosen_reducers, 5);
+}
+
 TEST_F(ExecutorTest, NullSemanticsInAggregates) {
   Schema s({{"g", TypeKind::kInt64}, {"v", TypeKind::kInt64}});
   std::vector<Row> rows;

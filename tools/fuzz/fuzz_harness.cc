@@ -1080,6 +1080,30 @@ RunOutcome RunCase(const FuzzCase& c, const RunOptions& opts) {
     run_variant(c.sql, "host_threads=4");
     shark->options().host_threads = orig_threads;
 
+    // Join lowering: every strategy must return the same rows. Generated
+    // tables are tiny at virtual scale 1.0, so under the defaults every
+    // inner join map-joins; a zero broadcast threshold forces the shuffle
+    // joins, and the adaptive mode pre-shuffles both inputs.
+    const JoinOptimization orig_join = shark->options().join_opt;
+    const uint64_t orig_broadcast = shark->options().broadcast_threshold_bytes;
+    const struct {
+      JoinOptimization mode;
+      uint64_t threshold;
+      const char* label;
+    } join_variants[] = {
+        {JoinOptimization::kStatic, 0, "join=static,broadcast=0"},
+        {JoinOptimization::kAdaptive, orig_broadcast, "join=adaptive"},
+        {JoinOptimization::kStaticAdaptive, 0,
+         "join=static+adaptive,broadcast=0"},
+    };
+    for (const auto& v : join_variants) {
+      shark->options().join_opt = v.mode;
+      shark->options().broadcast_threshold_bytes = v.threshold;
+      run_variant(c.sql, v.label);
+    }
+    shark->options().join_opt = orig_join;
+    shark->options().broadcast_threshold_bytes = orig_broadcast;
+
     for (size_t i = 0; i < c.variants.size(); ++i) {
       run_variant(c.variants[i],
                   ("variant#" + std::to_string(i)).c_str());

@@ -110,7 +110,8 @@ struct RunOutcome {
 /// batch path vs scalar interpreter over the cached columnar store,
 /// secondary indexes on every column vs indexes disabled,
 /// host_threads 1 vs 4, tight vs ample memory, conjunct order, join
-/// commutation),
+/// commutation, static / adaptive / static+adaptive join lowering with
+/// shuffle joins forced),
 /// comparing all results against the reference as multisets with exact
 /// Value equality plus a small tolerance for DOUBLE aggregate outputs, and
 /// checking the ORDER BY sortedness contract.
