@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -135,6 +136,35 @@ struct SampleCardinality {
   double d_second = 0; // distinct keys in the second half
   double overlap = 0;  // keys present in both halves
 };
+
+/// Fills `s`'s split-half fields (d_first, d_second, overlap) from the key
+/// hashes of a sample in arrival order. Sorted, de-duplicated copies of the
+/// two halves and one merge pass count exactly what two hash sets would,
+/// without a node allocation per key.
+inline void CountSplitHalves(const std::vector<uint64_t>& hashes,
+                             SampleCardinality* s) {
+  const auto mid =
+      hashes.begin() + static_cast<std::ptrdiff_t>(hashes.size() / 2);
+  std::vector<uint64_t> first(hashes.begin(), mid);
+  std::vector<uint64_t> second(mid, hashes.end());
+  for (std::vector<uint64_t>* half : {&first, &second}) {
+    std::sort(half->begin(), half->end());
+    half->erase(std::unique(half->begin(), half->end()), half->end());
+  }
+  size_t overlap = 0;
+  for (size_t i = 0, j = 0; i < first.size() && j < second.size();) {
+    if (first[i] < second[j]) {
+      ++i;
+    } else if (second[j] < first[i]) {
+      ++j;
+    } else {
+      ++overlap, ++i, ++j;
+    }
+  }
+  s->d_first = static_cast<double>(first.size());
+  s->d_second = static_cast<double>(second.size());
+  s->overlap = static_cast<double>(overlap);
+}
 
 /// DistinctGrowthFactor refined with the split-overlap test: if a fixed-K
 /// population fitted to the collision rate would predict far more overlap

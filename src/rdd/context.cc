@@ -80,19 +80,19 @@ std::vector<int> RddBase::ComputePreferredNodes(int p) const {
 }
 
 // ---------------------------------------------------------------------------
-// ShuffleDependency registration
+// ShuffleDependency registration and release
 // ---------------------------------------------------------------------------
 
 ShuffleDependency::ShuffleDependency(std::shared_ptr<RddBase> parent,
                                      int num_buckets)
     : parent_(std::move(parent)), num_buckets_(num_buckets) {
   SHARK_CHECK(num_buckets > 0);
-  shuffle_id_ = parent_->context()->shuffle_manager().RegisterShuffle(
-      parent_->num_partitions(), num_buckets);
-  if (JobState* job = CurrentJobState()) {
-    job->owned_shuffle_ids.push_back(shuffle_id_);
-  }
+  ShuffleManager& sm = parent_->context()->shuffle_manager();
+  shuffle_id_ = sm.RegisterShuffle(parent_->num_partitions(), num_buckets);
+  dead_queue_ = sm.dead_queue();
 }
+
+ShuffleDependency::~ShuffleDependency() { dead_queue_->Push(shuffle_id_); }
 
 // ---------------------------------------------------------------------------
 // ClusterContext

@@ -79,6 +79,9 @@ void JobManager::JobThreadMain(JobRun* run) {
   }
   SetCurrentJobState(&run->state);
   Status status = run->spec.body ? run->spec.body() : Status::OK();
+  // The body's RDD graphs died with it; drop the shuffles nothing reaches
+  // any more while this thread still holds the baton.
+  ctx_->scheduler().ReleaseDeadShuffles();
   // Reading the clock without the lock is safe: the driver is blocked until
   // this thread parks or finishes, and the handoff synchronizes through mu_.
   const double finish = ctx_->now();

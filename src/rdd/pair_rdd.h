@@ -5,7 +5,6 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -70,18 +69,7 @@ MapOutput BucketCombinedGroups(std::vector<std::pair<K, C>> groups,
   SampleCardinality sample;
   sample.n = static_cast<double>(n);
   sample.d = static_cast<double>(distinct);
-  {
-    const size_t half = record_hashes.size() / 2;
-    std::unordered_set<uint64_t> first_half(record_hashes.begin(),
-                                            record_hashes.begin() + half);
-    std::unordered_set<uint64_t> second_half(record_hashes.begin() + half,
-                                             record_hashes.end());
-    sample.d_first = static_cast<double>(first_half.size());
-    sample.d_second = static_cast<double>(second_half.size());
-    for (uint64_t k : first_half) {
-      if (second_half.count(k) > 0) sample.overlap += 1.0;
-    }
-  }
+  CountSplitHalves(record_hashes, &sample);
   double growth = DistinctGrowthFactorSplit(sample, tctx->virtual_scale());
   double byte_adjust = growth / std::max(tctx->virtual_scale(), 1.0);
 
@@ -107,7 +95,9 @@ MapOutput BucketCombinedGroups(std::vector<std::pair<K, C>> groups,
     out.bucket_records.push_back(bucket.size());
     out.bucket_cost_scale.push_back(byte_adjust);
     out.buckets.push_back(
-        std::make_shared<const std::vector<std::pair<K, C>>>(std::move(bucket)));
+        bucket.empty() ? nullptr
+                       : std::make_shared<const std::vector<std::pair<K, C>>>(
+                             std::move(bucket)));
   }
   // The combine table held one (key, combiner) pair per distinct key;
   // when it exceeds the task's budget the combiner degrades to grace-hash
@@ -150,7 +140,9 @@ class PlainShuffleDep final : public ShuffleDependency {
       // Plain repartitioning scales linearly with the input: no adjustment.
       out.bucket_bytes.push_back(ApproxSizeOfRange(b));
       out.bucket_records.push_back(b.size());
-      out.buckets.push_back(std::make_shared<const std::vector<T>>(std::move(b)));
+      out.buckets.push_back(
+          b.empty() ? nullptr
+                    : std::make_shared<const std::vector<T>>(std::move(b)));
     }
     return out;
   }

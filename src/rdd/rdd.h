@@ -91,10 +91,15 @@ class RddBase;
 /// Type-erased map-side description of a shuffle: how to split a parent
 /// block into fine-grained reduce buckets and how large each bucket is.
 /// Registered with the ShuffleManager at construction; the id is
-/// what reduce tasks fetch by and what PDE consults stats for.
+/// what reduce tasks fetch by and what PDE consults stats for. The
+/// dependency owns its registration: when the last RDD (or in-flight stage)
+/// holding it lets go, the destructor queues the id for DropShuffle.
 class ShuffleDependency {
  public:
-  virtual ~ShuffleDependency() = default;
+  virtual ~ShuffleDependency();
+
+  ShuffleDependency(const ShuffleDependency&) = delete;
+  ShuffleDependency& operator=(const ShuffleDependency&) = delete;
 
   int shuffle_id() const { return shuffle_id_; }
   int num_buckets() const { return num_buckets_; }
@@ -115,6 +120,9 @@ class ShuffleDependency {
   std::shared_ptr<RddBase> parent_;
   int num_buckets_;
   int shuffle_id_ = -1;
+
+ private:
+  std::shared_ptr<DeadShuffleQueue> dead_queue_;
 };
 
 /// An edge in the lineage graph: either narrow (parent partition feeds one

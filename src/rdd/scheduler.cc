@@ -402,6 +402,17 @@ void DagScheduler::QuiesceForSharedStateMutation() {
   BumpEpoch();
 }
 
+void DagScheduler::ReleaseDeadShuffles() {
+  ShuffleManager& sm = ctx_->shuffle_manager();
+  std::vector<int> dead = sm.dead_queue()->Take();
+  if (dead.empty()) return;
+  QuiesceForSharedStateMutation();
+  for (int id : dead) {
+    sm.DropShuffle(id);
+    shuffle_registry_.erase(id);
+  }
+}
+
 void DagScheduler::ComputeSlot(TaskSetState* set, int task, long at_epoch) {
   TaskSetState::TaskSlot& slot = set->slots[static_cast<size_t>(task)];
   slot.error = nullptr;

@@ -58,12 +58,13 @@ struct JobState {
   /// job's stages land in its own profile instead of whichever query opened
   /// a profile first.
   TraceCollector* trace = nullptr;
-  /// Debris ledger: shuffles registered and RDDs cached while this job was
-  /// current. A failing query drops exactly its own entries (watermark-based
-  /// cleanup would be wrong under concurrent admission, where id ranges
-  /// interleave across jobs). Successful queries keep seed semantics —
-  /// results stay resident — and merely truncate the ledger.
-  std::vector<int> owned_shuffle_ids;
+  /// Debris ledger: RDDs cached while this job was current. A failing query
+  /// drops exactly its own entries (watermark-based cleanup would be wrong
+  /// under concurrent admission, where id ranges interleave across jobs).
+  /// Shuffles need no ledger: a shuffle lives exactly as long as its
+  /// ShuffleDependency is reachable — from a live RDD graph, a cached table's
+  /// lineage or an in-flight stage — and is dropped by the first
+  /// ReleaseDeadShuffles after its lineage dies, success or failure.
   std::vector<int> owned_cache_rdd_ids;
 };
 
@@ -147,9 +148,16 @@ class DagScheduler {
   /// Quiesces host-parallel task-body precomputation and applies pending
   /// committed cache effects. MUST be called before mutating shared engine
   /// state (block cache, shuffle ledger) from outside the event loop — e.g.
-  /// RddBase::Uncache or ShuffleDependency teardown while other jobs are in
+  /// RddBase::Uncache or ReleaseDeadShuffles while other jobs are in
   /// flight. Cheap no-op when nothing is active.
   void QuiesceForSharedStateMutation();
+
+  /// Drops every shuffle whose ShuffleDependency died since the last call
+  /// (ShuffleManager::dead_queue), returning its map outputs' ledger bytes
+  /// to the MemoryManager. Called at the end of every top-level statement
+  /// (SharkSession) and job (JobManager), on the thread that holds the
+  /// engine; quiesces first only when there is something to drop.
+  void ReleaseDeadShuffles();
 
  private:
   friend struct TaskSetState;

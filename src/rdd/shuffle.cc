@@ -136,11 +136,4 @@ void ShuffleManager::DropShuffle(int shuffle_id) {
   shuffles_.erase(it);
 }
 
-void ShuffleManager::Clear() {
-  for (auto& [id, state] : shuffles_) {
-    for (auto& out : state.outputs) ReleaseLedger(&out);
-  }
-  shuffles_.clear();
-}
-
 }  // namespace shark

@@ -3,6 +3,9 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "sim/dfs.h"
@@ -26,7 +29,8 @@ struct ShuffleStats {
 
 /// Output of one map task of a shuffle: one bucket per fine-grained reduce
 /// partition, resident on the node that ran the map task (in memory for
-/// Shark, on local disk for Hadoop — the profile decides the fetch cost).
+/// Shark, on local disk for Hadoop — the profile decides the fetch cost). An
+/// empty bucket is stored as nullptr, with 0 bytes and 0 records.
 struct MapOutput {
   bool present = false;
   int node = -1;
@@ -47,9 +51,33 @@ struct MapOutput {
   uint64_t ledger_bytes = 0;
 };
 
+/// Ids of shuffles whose ShuffleDependency died, awaiting DropShuffle. An
+/// RDD graph dies on whichever thread held it last (a session thread, a job
+/// thread, a client dropping a sql2rdd handle), so pushes are mutex-guarded;
+/// the queue is drained only where engine state may be mutated
+/// (DagScheduler::ReleaseDeadShuffles). Shared between the ShuffleManager
+/// and every dependency, so either may outlive the other.
+class DeadShuffleQueue {
+ public:
+  void Push(int shuffle_id) {
+    std::lock_guard<std::mutex> lk(mu_);
+    ids_.push_back(shuffle_id);
+  }
+  std::vector<int> Take() {
+    std::lock_guard<std::mutex> lk(mu_);
+    return std::exchange(ids_, {});
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<int> ids_;
+};
+
 /// Tracks materialized map outputs per shuffle. Lost outputs (node failure)
 /// are detected by reduce-side fetches and recomputed from lineage by the
-/// scheduler.
+/// scheduler. A shuffle lives as long as its ShuffleDependency: the
+/// dependency's destructor queues the id on dead_queue(), and the next
+/// statement end drops it, giving its ledger bytes back.
 class ShuffleManager {
  public:
   /// Optional memory arbiter: memory-served map outputs are charged to its
@@ -83,7 +111,14 @@ class ShuffleManager {
   void DropNode(int node);
 
   void DropShuffle(int shuffle_id);
-  void Clear();
+
+  /// Registered shuffles not yet dropped (live lineage plus dead ids still
+  /// queued).
+  size_t num_shuffles() const { return shuffles_.size(); }
+
+  const std::shared_ptr<DeadShuffleQueue>& dead_queue() const {
+    return dead_queue_;
+  }
 
  private:
   struct ShuffleState {
@@ -101,6 +136,8 @@ class ShuffleManager {
   int next_id_ = 0;
   std::map<int, ShuffleState> shuffles_;
   MemoryManager* memory_manager_ = nullptr;
+  std::shared_ptr<DeadShuffleQueue> dead_queue_ =
+      std::make_shared<DeadShuffleQueue>();
 };
 
 }  // namespace shark

@@ -16,13 +16,15 @@ namespace shark {
 
 namespace {
 
-/// Brackets one query's engine-state debris. Shuffle registrations and cache
-/// insertions are recorded in the current job's ledger (installing a local
-/// JobState for plain, non-JobManager callers); a failing query drops
-/// exactly what it created — shuffle ledger entries and cached blocks — so
-/// the next query, possibly another session's, sees a clean cluster. A
-/// successful query keeps its state resident (seed semantics) and merely
-/// forgets the ledger entries.
+/// Brackets one top-level statement's engine-state debris. Cache insertions
+/// are recorded in the current job's ledger (installing a local JobState for
+/// plain, non-JobManager callers); a failing statement drops exactly the
+/// cached blocks it created, so the next query, possibly another session's,
+/// sees a clean cluster. Shuffles follow their lineage instead: whatever the
+/// statement's RDD graph no longer reaches — all of it for a plain query,
+/// success or failure; not a cached DISTRIBUTE BY table's shuffle, nor a
+/// sql2rdd handle's — is dropped when the scope closes, after every local
+/// declared past it (the executor, the plan, the RDD graph) has died.
 class QueryDebrisScope {
  public:
   explicit QueryDebrisScope(ClusterContext* ctx) : ctx_(ctx) {
@@ -32,37 +34,26 @@ class QueryDebrisScope {
       installed_ = true;
     }
     job_ = CurrentJobState();
-    shuffle_mark_ = job_->owned_shuffle_ids.size();
     cache_mark_ = job_->owned_cache_rdd_ids.size();
   }
 
   ~QueryDebrisScope() {
+    job_->owned_cache_rdd_ids.resize(cache_mark_);
     if (installed_) SetCurrentJobState(nullptr);
+    ctx_->scheduler().ReleaseDeadShuffles();
   }
 
   QueryDebrisScope(const QueryDebrisScope&) = delete;
   QueryDebrisScope& operator=(const QueryDebrisScope&) = delete;
 
-  /// Failure path: releases everything recorded past the entry marks.
+  /// Failure path: releases the cached blocks recorded past the entry mark.
   void DropDebris() {
-    if (job_->owned_shuffle_ids.size() > shuffle_mark_ ||
-        job_->owned_cache_rdd_ids.size() > cache_mark_) {
-      // Other jobs' frozen epochs may be reading the ledger and the cache.
-      ctx_->scheduler().QuiesceForSharedStateMutation();
-      for (size_t i = shuffle_mark_; i < job_->owned_shuffle_ids.size(); ++i) {
-        ctx_->shuffle_manager().DropShuffle(job_->owned_shuffle_ids[i]);
-      }
-      for (size_t i = cache_mark_; i < job_->owned_cache_rdd_ids.size(); ++i) {
-        ctx_->block_manager().DropRdd(job_->owned_cache_rdd_ids[i]);
-      }
+    if (job_->owned_cache_rdd_ids.size() == cache_mark_) return;
+    // Other jobs' frozen epochs may be reading the cache.
+    ctx_->scheduler().QuiesceForSharedStateMutation();
+    for (size_t i = cache_mark_; i < job_->owned_cache_rdd_ids.size(); ++i) {
+      ctx_->block_manager().DropRdd(job_->owned_cache_rdd_ids[i]);
     }
-    Forget();
-  }
-
-  /// Success path: results stay resident, ledger entries are dropped.
-  void Forget() {
-    job_->owned_shuffle_ids.resize(shuffle_mark_);
-    job_->owned_cache_rdd_ids.resize(cache_mark_);
   }
 
  private:
@@ -70,7 +61,6 @@ class QueryDebrisScope {
   JobState* job_ = nullptr;
   JobState local_;
   bool installed_ = false;
-  size_t shuffle_mark_ = 0;
   size_t cache_mark_ = 0;
 };
 
@@ -89,11 +79,7 @@ Result<QueryResult> SharkSession::Sql(const std::string& query,
   SHARK_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(query));
   QueryDebrisScope debris(ctx_.get());
   Result<QueryResult> result = ExecuteStatement(stmt, analyzed_plan);
-  if (result.ok()) {
-    debris.Forget();
-  } else {
-    debris.DropDebris();
-  }
+  if (!result.ok()) debris.DropDebris();
   return result;
 }
 
@@ -259,9 +245,8 @@ Result<TableRdd> SharkSession::Sql2Rdd(const std::string& query) {
     debris.DropDebris();
     return rdd.status();
   }
-  // The distributed result stays live; its shuffles/cache now belong to the
-  // caller's RDD graph.
-  debris.Forget();
+  // The distributed result stays live: the caller's handle keeps its
+  // shuffles and cache entries.
   TableRdd out;
   out.rdd = *rdd;
   out.schema = Schema(optimized->output);
@@ -396,11 +381,7 @@ Status SharkSession::CacheTable(const std::string& name,
                                 const std::string& copartition_with) {
   QueryDebrisScope debris(ctx_.get());
   Status status = CacheTableImpl(name, distribute_column, copartition_with);
-  if (status.ok()) {
-    debris.Forget();
-  } else {
-    debris.DropDebris();
-  }
+  if (!status.ok()) debris.DropDebris();
   return status;
 }
 

@@ -1,4 +1,7 @@
 #include <cmath>
+#include <cstdint>
+#include <unordered_set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -70,6 +73,47 @@ TEST(DistinctGrowthTest, MonotoneInScale) {
     double f = DistinctGrowthFactor(1000, 900, scale);
     EXPECT_GE(f, prev);
     prev = f;
+  }
+}
+
+// CountSplitHalves must count exactly what hash sets over the two halves
+// count; the shuffle's byte adjustment (and so virtual time) depends on it.
+SampleCardinality SplitHalvesBySets(const std::vector<uint64_t>& hashes) {
+  const size_t half = hashes.size() / 2;
+  std::unordered_set<uint64_t> first(hashes.begin(), hashes.begin() + half);
+  std::unordered_set<uint64_t> second(hashes.begin() + half, hashes.end());
+  SampleCardinality s;
+  s.d_first = static_cast<double>(first.size());
+  s.d_second = static_cast<double>(second.size());
+  for (uint64_t k : first) {
+    if (second.count(k) > 0) s.overlap += 1.0;
+  }
+  return s;
+}
+
+TEST(SplitHalvesTest, MatchesSetBasedCounts) {
+  Random rng(7);
+  std::vector<std::vector<uint64_t>> cases = {{}, {42}, {5, 5}, {1, 2, 1}};
+  for (int n : {10, 101, 1000, 4097}) {
+    std::vector<uint64_t> random_hashes;   // almost all distinct
+    std::vector<uint64_t> dup_heavy;       // few keys, many repeats
+    std::vector<uint64_t> clustered;       // halves nearly disjoint
+    for (int i = 0; i < n; ++i) {
+      random_hashes.push_back(rng.NextUint64());
+      dup_heavy.push_back(rng.Uniform(7));
+      clustered.push_back(static_cast<uint64_t>(i / 3) + rng.Uniform(2));
+    }
+    cases.push_back(std::move(random_hashes));
+    cases.push_back(std::move(dup_heavy));
+    cases.push_back(std::move(clustered));
+  }
+  for (const std::vector<uint64_t>& hashes : cases) {
+    SampleCardinality got;
+    CountSplitHalves(hashes, &got);
+    const SampleCardinality want = SplitHalvesBySets(hashes);
+    EXPECT_EQ(got.d_first, want.d_first) << "n=" << hashes.size();
+    EXPECT_EQ(got.d_second, want.d_second) << "n=" << hashes.size();
+    EXPECT_EQ(got.overlap, want.overlap) << "n=" << hashes.size();
   }
 }
 

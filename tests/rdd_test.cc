@@ -400,10 +400,16 @@ TEST(ShuffleStatsTest, CombinerBucketsKeepFirstSeenOrder) {
     ASSERT_NE(out, nullptr);
     ASSERT_EQ(out->buckets.size(), static_cast<size_t>(kBuckets));
     for (size_t b = 0; b < kBuckets; ++b) {
+      EXPECT_EQ(out->bucket_records[b], expect[b].size());
+      // An empty bucket is stored as nullptr.
+      if (expect[b].empty()) {
+        EXPECT_EQ(out->buckets[b], nullptr) << "task " << p << " bucket " << b;
+        continue;
+      }
+      ASSERT_NE(out->buckets[b], nullptr) << "task " << p << " bucket " << b;
       const auto& got = *std::static_pointer_cast<
           const std::vector<std::pair<int64_t, int64_t>>>(out->buckets[b]);
       EXPECT_EQ(got, expect[b]) << "task " << p << " bucket " << b;
-      EXPECT_EQ(out->bucket_records[b], expect[b].size());
       total_records += out->bucket_records[b];
     }
   }
