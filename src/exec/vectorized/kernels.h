@@ -22,32 +22,6 @@ uint64_t HashCell(const ColumnVector& col, size_t i);
 void HashKeyColumns(const std::vector<const ColumnVector*>& keys, size_t n,
                     std::vector<uint64_t>* out);
 
-/// Open-addressing hash table mapping group-key tuples to dense group
-/// indices. Groups keep their first-seen (insertion) order, which makes
-/// iteration deterministic and lets callers accumulate aggregates in input
-/// row order — required for bit-identical double summation vs. the row path.
-class VecGroupTable {
- public:
-  VecGroupTable();
-
-  /// Returns the dense index of the group for row `row` of the key columns,
-  /// inserting (and materializing the key Row) on first sight. `hash` must be
-  /// the HashKeyColumns value for that row.
-  size_t FindOrInsert(const std::vector<const ColumnVector*>& keys, size_t row,
-                      uint64_t hash);
-
-  size_t size() const { return keys_.size(); }
-  const std::vector<Row>& group_keys() const { return keys_; }
-  const std::vector<uint64_t>& group_hashes() const { return hashes_; }
-
- private:
-  void Rehash(size_t new_capacity);
-
-  std::vector<uint32_t> slots_;  // group index + 1; 0 = empty
-  std::vector<Row> keys_;        // insertion order
-  std::vector<uint64_t> hashes_;
-};
-
 }  // namespace vec
 }  // namespace shark
 

@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "exec/vectorized/column_batch.h"
+#include "exec/vectorized/group_table.h"
 #include "exec/vectorized/kernels.h"
 #include "rdd/pair_rdd.h"
 #include "sql/aggregates.h"
@@ -119,11 +120,10 @@ RddPtr<Row> BuildVecScanProject(
 
 namespace {
 
-/// Map-side shuffle dependency of the vectorized group-by. The reduce side
-/// (ShuffledReduceRdd<Row, AggState>) is reused unchanged, and the groups go
-/// through the same first-seen bucketing tail as CombiningShuffleDep<Row,
-/// Row, AggState>, so bucket payloads (order included), byte/record
-/// statistics and every virtual-time charge match the scalar chain.
+/// Map side of the group-by over the columnar store: scan, filter,
+/// column-wise key hashing and batched group-table probing, then typed
+/// accumulate kernels, all in one ShuffleDependency. Rows fold in input
+/// order and groups keep first-seen order, exactly as on the row path.
 class VecAggShuffleDep final : public ShuffleDependency {
  public:
   VecAggShuffleDep(
@@ -141,14 +141,13 @@ class VecAggShuffleDep final : public ShuffleDependency {
                            TaskContext* tctx) const override {
     const auto& parts =
         *std::static_pointer_cast<const std::vector<TablePartitionPtr>>(block);
-    VecGroupTable table;
-    std::vector<AggState> states;
+    VecGroupTable table(calls_, groups_->size());
     std::vector<uint64_t> row_hashes;  // surviving rows, input order
     uint64_t scanned = 0;
     std::vector<ColumnVector> keycols(groups_->size());
     std::vector<const ColumnVector*> keyviews(groups_->size());
     std::vector<ColumnVector> argcols(agg_args_->size());
-    std::vector<Value> args;
+    std::vector<uint32_t> gids(kBatchSize);
     for (const TablePartitionPtr& part : parts) {
       if (part == nullptr) continue;
       ScannedPart sp = ScanFilterPart(scan_, *part, tctx);
@@ -167,30 +166,21 @@ class VecAggShuffleDep final : public ShuffleDependency {
           (*agg_args_)[a].EvalBatch(sp.batch, b, e, &argcols[a]);
         }
         for (size_t i = 0; i < w; ++i) {
-          size_t g = table.FindOrInsert(keyviews, i, row_hashes[hbase + i]);
-          if (g == states.size()) states.push_back(InitAggState(*calls_));
-          args.clear();
-          for (const ColumnVector& ac : argcols) args.push_back(ac.ValueAt(i));
-          AccumulateArgs(*calls_, &args, &states[g]);
+          gids[i] = static_cast<uint32_t>(
+              table.FindOrInsert(keyviews, i, row_hashes[hbase + i]));
         }
+        table.batch().FoldBatch(argcols, gids.data(), w);
       }
     }
     // Charges of the replaced scalar stages, once per task like the
-    // originals: scanFilter (ApplyPredicate) and aggKey (MapRdd). The
-    // shared combine tail charges the rest exactly as CombiningShuffleDep.
+    // originals: scanFilter (ApplyPredicate) and aggKey (one row of work
+    // per row). The layout tail charges the combine exactly as the row path.
     if (scan_.predicate != nullptr) {
       tctx->work().rows_processed +=
           ExprChargeRows(scanned, scan_.predicate_extra);
     }
     tctx->work().rows_processed += row_hashes.size();
-    std::vector<std::pair<Row, AggState>> groups;
-    groups.reserve(table.size());
-    for (size_t g = 0; g < table.size(); ++g) {
-      groups.emplace_back(table.group_keys()[g], std::move(states[g]));
-    }
-    return internal_shuffle::BucketCombinedGroups(
-        std::move(groups), table.group_hashes(), row_hashes, num_buckets_,
-        tctx);
+    return LayOutGroupBatch(table.TakeBatch(), row_hashes, num_buckets_, tctx);
   }
 
  private:
@@ -200,6 +190,119 @@ class VecAggShuffleDep final : public ShuffleDependency {
   std::shared_ptr<const std::vector<AggCall>> calls_;
 };
 
+/// Map side of the group-by over rows: each row's key and arguments are
+/// evaluated by the compiled programs and folded into the same flat table
+/// the columnar path fills.
+class RowAggShuffleDep final : public ShuffleDependency {
+ public:
+  RowAggShuffleDep(RddPtr<Row> parent, int num_buckets,
+                   std::shared_ptr<const std::vector<CompiledExpr>> groups,
+                   std::shared_ptr<const std::vector<CompiledExpr>> agg_args,
+                   std::shared_ptr<const std::vector<AggCall>> calls)
+      : ShuffleDependency(parent, num_buckets),
+        groups_(std::move(groups)),
+        agg_args_(std::move(agg_args)),
+        calls_(std::move(calls)) {}
+
+  MapOutput PartitionBlock(const BlockData& block,
+                           TaskContext* tctx) const override {
+    const auto& in = *std::static_pointer_cast<const std::vector<Row>>(block);
+    VecGroupTable table(calls_, groups_->size());
+    std::vector<uint64_t> row_hashes;
+    row_hashes.reserve(in.size());
+    Row key;
+    key.fields.resize(groups_->size());
+    std::vector<Value> args(agg_args_->size());
+    for (const Row& r : in) {
+      for (size_t k = 0; k < key.fields.size(); ++k) {
+        key.fields[k] = (*groups_)[k].Eval(r);
+      }
+      const uint64_t h = KeyHash(key);
+      row_hashes.push_back(h);
+      const size_t g = table.FindOrInsert(key, h);
+      for (size_t a = 0; a < args.size(); ++a) {
+        args[a] = (*agg_args_)[a].Eval(r);
+      }
+      table.batch().Fold(g, args.data());
+    }
+    return LayOutGroupBatch(table.TakeBatch(), row_hashes, num_buckets_, tctx);
+  }
+
+ private:
+  std::shared_ptr<const std::vector<CompiledExpr>> groups_;
+  std::shared_ptr<const std::vector<CompiledExpr>> agg_args_;
+  std::shared_ptr<const std::vector<AggCall>> calls_;
+};
+
+/// Reduce side of the group-by: merges the fetched GroupBatch slices into
+/// one flat table, in fetch order, and finalizes it into output rows (groups
+/// in first-seen order). Charges what merging the same groups as (key Row,
+/// AggState) pairs charges.
+class AggReduceRdd final : public TypedRdd<Row> {
+ public:
+  AggReduceRdd(ClusterContext* ctx, std::shared_ptr<ShuffleDependency> dep,
+               std::shared_ptr<const std::vector<AggCall>> calls,
+               size_t num_keys, BucketAssignment assignment)
+      : TypedRdd<Row>(ctx, "aggReduce"),
+        dep_(dep),
+        calls_(std::move(calls)),
+        num_keys_(num_keys),
+        assignment_(std::move(assignment)) {
+    this->deps_.push_back(Dependency{nullptr, dep});
+  }
+
+  int num_partitions() const override {
+    return static_cast<int>(assignment_.size());
+  }
+
+  Block Compute(int p, TaskContext* tctx) const override {
+    double effective_records = 0.0;
+    std::vector<BlockData> buckets = tctx->FetchShuffleBuckets(
+        dep_->shuffle_id(), assignment_[static_cast<size_t>(p)],
+        &effective_records);
+    // Per-record reduce charges use the cardinality-adjusted record count so
+    // that the cost model's uniform scaling stays faithful.
+    tctx->work().hash_records += static_cast<uint64_t>(effective_records);
+    tctx->work().rows_processed += static_cast<uint64_t>(effective_records);
+    VecGroupTable table(calls_, num_keys_);
+    uint64_t records_in = 0;
+    for (const BlockData& b : buckets) {
+      const auto& slice = *static_cast<const GroupSlice*>(b.get());
+      records_in += slice.size();
+      table.MergeSlice(slice);
+    }
+    const GroupBatch& merged = table.batch();
+    // The merge table and the reduce output hold one record per key —
+    // cardinality-bounded, so both get the same distinct-growth adjustment
+    // as the map-side combiner outputs.
+    const double adjust =
+        DistinctGrowthFactor(static_cast<double>(records_in),
+                             static_cast<double>(merged.size()),
+                             tctx->virtual_scale()) /
+        std::max(tctx->virtual_scale(), 1.0);
+    const auto table_bytes = static_cast<uint64_t>(
+        static_cast<double>(merged.Bytes()) * adjust);
+    // External hash aggregation: past the task's budget the merge table
+    // degrades to grace-hash partitions on local disk merged one at a time.
+    tctx->ReserveOrSpillHash(table_bytes,
+                             static_cast<uint64_t>(effective_records));
+    tctx->ReleaseAllWorkingSet();
+    internal_shuffle::ChargeStageMaterialization(table_bytes, tctx);
+    Block out;
+    out.reserve(merged.size());
+    for (size_t g = 0; g < merged.size(); ++g) {
+      out.push_back(merged.FinalizeRow(g));
+    }
+    return out;
+  }
+
+ private:
+  std::shared_ptr<ShuffleDependency> dep_;
+  std::shared_ptr<const std::vector<AggCall>> calls_;
+  size_t num_keys_;
+  BucketAssignment assignment_;
+};
+
 }  // namespace
 
 std::shared_ptr<ShuffleDependency> MakeVecAggDep(
@@ -207,18 +310,41 @@ std::shared_ptr<ShuffleDependency> MakeVecAggDep(
     std::shared_ptr<const std::vector<CompiledExpr>> group_programs,
     std::shared_ptr<const std::vector<CompiledExpr>> agg_arg_programs,
     std::shared_ptr<const std::vector<AggCall>> calls) {
-  // Identity pass-through so the shuffle-map stage carries a recognizable
-  // label (the base may be the raw cached RDD or a prunedScan subset).
-  // MapPartitionsRdd charges nothing itself; the cached base's read charges
-  // flow through GetOrCompute exactly as in the scalar chain.
+  // Identity pass-through so the shuffle-map stage carries the aggregate's
+  // "aggKey" label, which EXPLAIN ANALYZE maps to the Aggregate node (the
+  // base may be the raw cached RDD or a prunedScan subset). MapPartitionsRdd
+  // charges nothing itself; the cached base's read charges flow through
+  // GetOrCompute exactly as in the scalar chain.
   auto parent = scan.base->MapPartitions(
       [](int, const std::vector<TablePartitionPtr>& parts, TaskContext*) {
         return parts;
       },
-      "vecAggKey:" + scan.table);
+      "aggKey:vecScan:" + scan.table);
   return std::make_shared<VecAggShuffleDep>(
       parent, num_buckets, scan, std::move(group_programs),
       std::move(agg_arg_programs), std::move(calls));
+}
+
+std::shared_ptr<ShuffleDependency> MakeRowAggDep(
+    RddPtr<Row> input, int num_buckets,
+    std::shared_ptr<const std::vector<CompiledExpr>> group_programs,
+    std::shared_ptr<const std::vector<CompiledExpr>> agg_arg_programs,
+    std::shared_ptr<const std::vector<AggCall>> calls) {
+  // The key-evaluation step keeps its own label and per-row charge; the
+  // dependency evaluates the keys while combining.
+  auto keyed = std::make_shared<PassThroughRdd<Row>>(input, "aggKey");
+  return std::make_shared<RowAggShuffleDep>(
+      keyed, num_buckets, std::move(group_programs),
+      std::move(agg_arg_programs), std::move(calls));
+}
+
+RddPtr<Row> BuildAggReduce(std::shared_ptr<ShuffleDependency> dep,
+                           std::shared_ptr<const std::vector<AggCall>> calls,
+                           size_t num_keys, BucketAssignment assignment) {
+  ClusterContext* ctx = dep->parent()->context();
+  auto reduced = std::make_shared<AggReduceRdd>(
+      ctx, std::move(dep), std::move(calls), num_keys, std::move(assignment));
+  return std::make_shared<PassThroughRdd<Row>>(reduced, "aggFinalize");
 }
 
 }  // namespace vec

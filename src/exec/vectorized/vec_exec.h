@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "columnar/table_partition.h"
+#include "rdd/pair_rdd.h"
 #include "rdd/rdd.h"
 #include "relation/row.h"
 #include "relation/types.h"
@@ -54,19 +55,33 @@ RddPtr<Row> BuildVecScanProject(
     uint64_t project_extra);
 
 /// Map side of a vectorized hash group-by directly over the columnar store:
-/// scan, filter, column-wise key hashing and batched group-table probing in
-/// one ShuffleDependency. Emits buckets of (key Row, AggState) pairs that
-/// the existing ShuffledReduceRdd<Row, AggState> consumes unchanged, with
-/// accumulation in input row order and groups bucketed in first-seen order
-/// by the shared combine tail, so buckets, AggStates and all shuffle
-/// byte/record statistics are bit-identical to the scalar
-/// aggKey -> CombiningShuffleDep chain. `agg_arg_programs` holds every
-/// call's argument programs flattened call by call (AccumulateArgs' layout).
+/// scan, filter, column-wise key hashing, batched group-table probing and
+/// typed accumulate kernels in one ShuffleDependency. Each map task ships
+/// one GroupBatch (group_table.h) whose buckets are slices of it.
+/// `agg_arg_programs` holds every call's argument programs flattened call by
+/// call (AccumulateArgs' layout).
 std::shared_ptr<ShuffleDependency> MakeVecAggDep(
     const VecScan& scan, int num_buckets,
     std::shared_ptr<const std::vector<CompiledExpr>> group_programs,
     std::shared_ptr<const std::vector<CompiledExpr>> agg_arg_programs,
     std::shared_ptr<const std::vector<AggCall>> calls);
+
+/// The same map side over an RDD of rows (the row path): keys and
+/// arguments evaluated row by row into the same flat GroupBatch, so both
+/// paths ship identical buckets, bytes and charges. Its stage is labeled
+/// "aggKey".
+std::shared_ptr<ShuffleDependency> MakeRowAggDep(
+    RddPtr<Row> input, int num_buckets,
+    std::shared_ptr<const std::vector<CompiledExpr>> group_programs,
+    std::shared_ptr<const std::vector<CompiledExpr>> agg_arg_programs,
+    std::shared_ptr<const std::vector<AggCall>> calls);
+
+/// The group-by's one reducer, for either map side: merges each reduce
+/// partition's fetched GroupBatch slices in fetch order ("aggReduce") and
+/// finalizes the merged groups into rows, first-seen order ("aggFinalize").
+RddPtr<Row> BuildAggReduce(std::shared_ptr<ShuffleDependency> dep,
+                           std::shared_ptr<const std::vector<AggCall>> calls,
+                           size_t num_keys, BucketAssignment assignment);
 
 }  // namespace vec
 }  // namespace shark

@@ -45,67 +45,39 @@ inline void ChargeStageMaterialization(uint64_t bytes, TaskContext* tctx) {
   tctx->work().binary_deser_bytes += bytes;
 }
 
-/// The map-side tail every hash-combining shuffle shares. `groups` are the
-/// task's (key, combiner) pairs in emission (first-seen) order,
-/// `group_hashes` their KeyHash values, and `record_hashes` the key hash of
-/// every input record in input order. Charges the combine's hashing, buckets
-/// the groups by key hash (each bucket keeps emission order), pre-adjusts
-/// bucket bytes for cardinality-bounded output, reserves the combine table's
-/// working set and charges the map-output write.
-template <typename K, typename C>
-MapOutput BucketCombinedGroups(std::vector<std::pair<K, C>> groups,
-                               const std::vector<uint64_t>& group_hashes,
-                               const std::vector<uint64_t>& record_hashes,
-                               int num_buckets, TaskContext* tctx) {
+/// The charges every hash-combining map task makes before it ships its
+/// groups: `record_hashes` is the key hash of every input record in input
+/// order, `distinct` the number of groups. Charges the combine's hashing and
+/// returns the factor each bucket's bytes are pre-multiplied by. The
+/// combiner's output is bounded by the distinct keys the task sees. Fixed key
+/// populations saturate (shuffle volume stays flat at virtual scale); growing
+/// populations (unique-id-like keys) keep scaling. The split-overlap
+/// statistics distinguish the two, and the factor pre-divides the reported
+/// bytes so the cost model's uniform scaling yields faithful volumes.
+inline double ChargeCombine(const std::vector<uint64_t>& record_hashes,
+                            uint64_t distinct, TaskContext* tctx) {
   const uint64_t n = record_hashes.size();
-  const uint64_t distinct = groups.size();
   tctx->work().rows_processed += n;
   tctx->work().hash_records += n;
-  // The combiner's output is bounded by the distinct keys the task sees.
-  // Fixed key populations saturate (shuffle volume stays flat at virtual
-  // scale); growing populations (unique-id-like keys) keep scaling. The
-  // split-overlap statistics distinguish the two; pre-divide the reported
-  // bytes so the cost model's uniform scaling yields faithful volumes.
   SampleCardinality sample;
   sample.n = static_cast<double>(n);
   sample.d = static_cast<double>(distinct);
   CountSplitHalves(record_hashes, &sample);
   double growth = DistinctGrowthFactorSplit(sample, tctx->virtual_scale());
-  double byte_adjust = growth / std::max(tctx->virtual_scale(), 1.0);
+  return growth / std::max(tctx->virtual_scale(), 1.0);
+}
 
-  std::vector<std::vector<std::pair<K, C>>> buckets(
-      static_cast<size_t>(num_buckets));
-  for (size_t g = 0; g < groups.size(); ++g) {
-    auto b = static_cast<size_t>(group_hashes[g] %
-                                 static_cast<uint64_t>(num_buckets));
-    buckets[b].push_back(std::move(groups[g]));
-  }
-  MapOutput out;
-  out.on_disk = tctx->profile().shuffle_through_disk;
-  out.buckets.reserve(buckets.size());
-  uint64_t out_bytes = 0;
-  uint64_t raw_bytes = 0;  // resident combine-table size, unadjusted
-  for (auto& bucket : buckets) {
-    const uint64_t bytes = ApproxSizeOfRange(bucket);
-    raw_bytes += bytes;
-    uint64_t adjusted =
-        static_cast<uint64_t>(static_cast<double>(bytes) * byte_adjust);
-    out_bytes += adjusted;
-    out.bucket_bytes.push_back(adjusted);
-    out.bucket_records.push_back(bucket.size());
-    out.bucket_cost_scale.push_back(byte_adjust);
-    out.buckets.push_back(
-        bucket.empty() ? nullptr
-                       : std::make_shared<const std::vector<std::pair<K, C>>>(
-                             std::move(bucket)));
-  }
-  // The combine table held one (key, combiner) pair per distinct key;
-  // when it exceeds the task's budget the combiner degrades to grace-hash
-  // partitioning (spill I/O charged by the context).
+/// The charges after a combining map task has bucketed its groups. The
+/// combine table held one (key, combiner) pair per distinct key, `raw_bytes`
+/// in all; when it exceeds the task's budget the combiner degrades to
+/// grace-hash partitioning (spill I/O charged by the context). `out_bytes` is
+/// the sum of the adjusted bucket bytes.
+inline void ChargeCombineOutput(uint64_t raw_bytes, uint64_t out_bytes,
+                                uint64_t distinct, uint64_t input_records,
+                                TaskContext* tctx) {
   tctx->ReserveOrSpillHash(raw_bytes, distinct);
   tctx->ReleaseAllWorkingSet();
-  ChargeMapOutputWrite(out_bytes, distinct, n, tctx);
-  return out;
+  ChargeMapOutputWrite(out_bytes, distinct, input_records, tctx);
 }
 
 }  // namespace internal_shuffle
@@ -202,8 +174,39 @@ class CombiningShuffleDep final : public ShuffleDependency {
         merge_value_(groups[it->second].second, v);
       }
     }
-    return internal_shuffle::BucketCombinedGroups(
-        std::move(groups), group_hashes, record_hashes, num_buckets_, tctx);
+    const uint64_t distinct = groups.size();
+    const double byte_adjust =
+        internal_shuffle::ChargeCombine(record_hashes, distinct, tctx);
+    // Bucket by key hash; each bucket keeps first-seen order.
+    std::vector<std::vector<std::pair<K, C>>> buckets(
+        static_cast<size_t>(num_buckets_));
+    for (size_t g = 0; g < groups.size(); ++g) {
+      auto b = static_cast<size_t>(group_hashes[g] %
+                                   static_cast<uint64_t>(num_buckets_));
+      buckets[b].push_back(std::move(groups[g]));
+    }
+    MapOutput out;
+    out.on_disk = tctx->profile().shuffle_through_disk;
+    out.buckets.reserve(buckets.size());
+    uint64_t out_bytes = 0;
+    uint64_t raw_bytes = 0;  // resident combine-table size, unadjusted
+    for (auto& bucket : buckets) {
+      const uint64_t bytes = ApproxSizeOfRange(bucket);
+      raw_bytes += bytes;
+      const auto adjusted =
+          static_cast<uint64_t>(static_cast<double>(bytes) * byte_adjust);
+      out_bytes += adjusted;
+      out.bucket_bytes.push_back(adjusted);
+      out.bucket_records.push_back(bucket.size());
+      out.bucket_cost_scale.push_back(byte_adjust);
+      out.buckets.push_back(
+          bucket.empty() ? nullptr
+                         : std::make_shared<const std::vector<std::pair<K, C>>>(
+                               std::move(bucket)));
+    }
+    internal_shuffle::ChargeCombineOutput(raw_bytes, out_bytes, distinct,
+                                          in.size(), tctx);
+    return out;
   }
 
  private:
@@ -230,7 +233,7 @@ inline BucketAssignment IdentityAssignment(int num_buckets) {
 template <typename K, typename C>
 class ShuffledReduceRdd final : public TypedRdd<std::pair<K, C>> {
  public:
-  using MergeCombinersFn = std::function<void(C&, C&&)>;
+  using MergeCombinersFn = std::function<void(C&, const C&)>;
 
   ShuffledReduceRdd(ClusterContext* ctx,
                     std::shared_ptr<ShuffleDependency> dep,
@@ -253,27 +256,34 @@ class ShuffledReduceRdd final : public TypedRdd<std::pair<K, C>> {
     std::vector<BlockData> buckets = tctx->FetchShuffleBuckets(
         dep_->shuffle_id(), assignment_[static_cast<size_t>(p)],
         &effective_records);
-    std::unordered_map<K, C, KeyHasher<K>> merged;
+    // Keys in first-seen (fetch) order with their merged combiners, indexed
+    // by key hash: the first sighting of a key is copied once, later ones
+    // are merged in place.
+    typename TypedRdd<std::pair<K, C>>::Block out;
+    std::unordered_multimap<uint64_t, size_t> index;
     uint64_t records_in = 0;
     // Per-record reduce charges use the cardinality-adjusted record count so
     // that the cost model's uniform scaling stays faithful.
     tctx->work().hash_records += static_cast<uint64_t>(effective_records);
     tctx->work().rows_processed += static_cast<uint64_t>(effective_records);
     for (const BlockData& b : buckets) {
-      auto vec = std::static_pointer_cast<const std::vector<std::pair<K, C>>>(b);
-      records_in += vec->size();
-      for (const auto& [k, c] : *vec) {
-        auto it = merged.find(k);
-        if (it == merged.end()) {
-          merged.emplace(k, c);
+      const auto& vec =
+          *std::static_pointer_cast<const std::vector<std::pair<K, C>>>(b);
+      records_in += vec.size();
+      for (const auto& kc : vec) {
+        const uint64_t h = KeyHash(kc.first);
+        auto [lo, hi] = index.equal_range(h);
+        auto hit = std::find_if(lo, hi, [&](const auto& entry) {
+          return out[entry.second].first == kc.first;
+        });
+        if (hit != hi) {
+          merge_(out[hit->second].second, kc.second);
         } else {
-          merge_(it->second, C(c));
+          index.emplace(h, out.size());
+          out.push_back(kc);
         }
       }
     }
-    typename TypedRdd<std::pair<K, C>>::Block out;
-    out.reserve(merged.size());
-    for (auto& [k, c] : merged) out.emplace_back(k, std::move(c));
     // The merge table and the reduce output hold one record per key —
     // cardinality-bounded, so both get the same distinct-growth adjustment
     // as the map-side combiner outputs.
@@ -464,7 +474,7 @@ RddPtr<std::pair<K, V>> ReduceByKey(RddPtr<std::pair<K, V>> rdd, MergeFn merge,
       rdd, num_buckets, [](const V& v) { return v; }, merge_value);
   return std::make_shared<ShuffledReduceRdd<K, V>>(
       rdd->context(), dep,
-      [merge](V& acc, V&& v) { acc = merge(acc, std::move(v)); },
+      [merge](V& acc, const V& v) { acc = merge(acc, v); },
       IdentityAssignment(num_buckets), "reduceByKey");
 }
 

@@ -559,6 +559,41 @@ class PartitionSubsetRdd final : public TypedRdd<T> {
   std::vector<int> selected_;
 };
 
+/// Hands the parent's block on unchanged (shared, not copied) and charges
+/// one row of work per element, as an element-wise map does. Names a step
+/// of an operator whose work happens in a fused neighbour (the group-by's
+/// aggKey before its map-side combine, aggFinalize after its reduce), so
+/// stage labels and charges stay those of the separate step.
+template <typename T>
+class PassThroughRdd final : public TypedRdd<T> {
+ public:
+  PassThroughRdd(RddPtr<T> parent, std::string label)
+      : TypedRdd<T>(parent->context(), std::move(label)), parent_(parent) {
+    this->deps_.push_back(Dependency{parent, nullptr});
+  }
+
+  int num_partitions() const override { return parent_->num_partitions(); }
+
+  typename TypedRdd<T>::Block Compute(int p, TaskContext* tctx) const override {
+    return *ComputeShared(p, tctx);
+  }
+
+  std::shared_ptr<const typename TypedRdd<T>::Block> ComputeShared(
+      int p, TaskContext* tctx) const override {
+    auto block = parent_->GetOrCompute(p, tctx);
+    tctx->work().rows_processed += block->size();
+    return block;
+  }
+
+ protected:
+  std::vector<int> ComputePreferredNodes(int p) const override {
+    return parent_->PreferredNodes(p);
+  }
+
+ private:
+  RddPtr<T> parent_;
+};
+
 // ---------------------------------------------------------------------------
 // Factory helpers + member sugar
 // ---------------------------------------------------------------------------

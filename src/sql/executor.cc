@@ -12,7 +12,6 @@
 #include "exec/vectorized/vec_exec.h"
 #include "index/btree.h"
 #include "rdd/pair_rdd.h"
-#include "sql/aggregates.h"
 #include "sql/expr_compiler.h"
 #include "sql/pde.h"
 #include "sql/planner/join_reorder.h"
@@ -654,6 +653,7 @@ Result<RddPtr<Row>> Executor::BuildAggregate(const LogicalPlan& node) {
   const bool pde = Pde();
   int buckets = pde ? FineBuckets() : StaticReducers(node);
 
+  // Both map sides ship one flat GroupBatch per task to the one reducer.
   std::shared_ptr<ShuffleDependency> dep;
   vec::VecScan vs;
   if (PrepareVecScan(*node.children[0], &vs)) {
@@ -661,25 +661,7 @@ Result<RddPtr<Row>> Executor::BuildAggregate(const LogicalPlan& node) {
     dep = vec::MakeVecAggDep(vs, buckets, groups, agg_args, calls);
   } else {
     SHARK_ASSIGN_OR_RETURN(RddPtr<Row> child, BuildRdd(node.children[0]));
-    auto keyed = child->Map(
-        [groups](const Row& r) {
-          return std::make_pair(EvalKeyRow(*groups, r), r);
-        },
-        "aggKey");
-    auto accumulate = [calls, agg_args](AggState& s, const Row& r) {
-      thread_local std::vector<Value> args;
-      args.clear();
-      for (const CompiledExpr& p : *agg_args) args.push_back(p.Eval(r));
-      AccumulateArgs(*calls, &args, &s);
-    };
-    dep = std::make_shared<CombiningShuffleDep<Row, Row, AggState>>(
-        keyed, buckets,
-        [calls, accumulate](const Row& r) {
-          AggState s = InitAggState(*calls);
-          accumulate(s, r);
-          return s;
-        },
-        accumulate);
+    dep = vec::MakeRowAggDep(child, buckets, groups, agg_args, calls);
   }
 
   BucketAssignment assignment;
@@ -690,17 +672,8 @@ Result<RddPtr<Row>> Executor::BuildAggregate(const LogicalPlan& node) {
     metrics_.chosen_reducers = buckets;
     assignment = IdentityAssignment(buckets);
   }
-
-  auto reduced = std::make_shared<ShuffledReduceRdd<Row, AggState>>(
-      ctx_, dep,
-      [calls](AggState& a, AggState&& b) { MergeAggStates(*calls, b, &a); },
-      std::move(assignment), "aggReduce");
-
-  return RddPtr<Row>(reduced->Map(
-      [calls](const std::pair<Row, AggState>& kv) {
-        return FinalizeAggRow(*calls, kv.first, kv.second);
-      },
-      "aggFinalize"));
+  return vec::BuildAggReduce(dep, calls, node.group_exprs.size(),
+                             std::move(assignment));
 }
 
 Result<RddPtr<Row>> Executor::TryCoPartitionedJoin(const LogicalPlan& node) {
@@ -1264,10 +1237,10 @@ Result<RddPtr<Row>> Executor::BuildSort(const LogicalPlan& node) {
 
   auto sort_partition = [keys, asc, limit](int, const std::vector<Row>& in,
                                            TaskContext* tctx) {
-    // Each row's sort keys are evaluated once. std::sort then permutes row
-    // indices under the row order's comparator, so it takes the same
-    // decisions as sorting the rows themselves: the output order, ties
-    // included, is identical.
+    // Each row's sort keys are evaluated once; the sort permutes row
+    // indices. Ties break on the input index, so the order is total and
+    // equals a stable sort of the rows. With a LIMIT only the first `limit`
+    // positions are ordered (a partial sort), which yields the same prefix.
     const size_t k = keys->size();
     std::vector<Value> key_values;
     key_values.reserve(in.size() * k);
@@ -1280,18 +1253,23 @@ Result<RddPtr<Row>> Executor::BuildSort(const LogicalPlan& node) {
     // budget is sorted as budget-sized runs spilled to local disk, then
     // k-way merged (run I/O and the merge pass charged by the context).
     tctx->ReserveOrSpillSort(ApproxSizeOfRange(in), in.size());
-    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-      const Value* ka = &key_values[a * k];
-      const Value* kb = &key_values[b * k];
+    auto before = [&](uint32_t a, uint32_t b) {
+      const Value* ka = &key_values[static_cast<size_t>(a) * k];
+      const Value* kb = &key_values[static_cast<size_t>(b) * k];
       for (size_t i = 0; i < k; ++i) {
         int c = ka[i].Compare(kb[i]);
         if (c != 0) return (*asc)[i] ? c < 0 : c > 0;
       }
-      return false;
-    });
+      return a < b;
+    };
     size_t n = in.size();
     if (limit >= 0 && static_cast<int64_t>(n) > limit) {
       n = static_cast<size_t>(limit);
+      std::partial_sort(order.begin(),
+                        order.begin() + static_cast<std::ptrdiff_t>(n),
+                        order.end(), before);
+    } else {
+      std::sort(order.begin(), order.end(), before);
     }
     std::vector<Row> out;
     out.reserve(n);

@@ -117,6 +117,94 @@ TEST_F(ShuffleLifetimeTest, MixedQueriesReturnToStartingState) {
   EXPECT_EQ(join.rows[0].Get(0), Value::Int64(16 * 25 * 13));
 }
 
+// GROUP BY shuffles ship one GroupBatch per map task, its buckets aliasing
+// slices of it. Over both map sides (the row path over a DFS table, the
+// columnar path over a cached one) and a global aggregate, every statement
+// end frees them: the shuffle count and the shuffle ledger return to their
+// starting values.
+TEST_F(ShuffleLifetimeTest, GroupByBatchesAreFreedAtStatementEnd) {
+  ASSERT_TRUE(session_->CacheTable("u").ok());
+  start_shuffles_ = LiveShuffles();
+  start_ledger_ = LedgerBytes();
+  const std::vector<std::string> queries = {
+      "SELECT k, COUNT(*), SUM(v), MIN(v), MAX(v) FROM t GROUP BY k",
+      "SELECT k, AVG(w), COUNT(DISTINCT w) FROM u GROUP BY k",
+      "SELECT SUM(w), COUNT(*) FROM u WHERE w > 100",
+      "SELECT k % 3, SUM(v) FROM t GROUP BY k % 3",
+  };
+  for (int round = 0; round < 2; ++round) {
+    for (const std::string& sql : queries) {
+      QueryResult r = MustQuery(sql);
+      EXPECT_TRUE(RanMapStage(r)) << sql;
+      EXPECT_FALSE(r.rows.empty()) << sql;
+      EXPECT_EQ(LiveShuffles(), start_shuffles_) << sql;
+      EXPECT_EQ(LedgerBytes(), start_ledger_) << sql;
+    }
+  }
+}
+
+// A node killed between the map and reduce stages of a GROUP BY loses the
+// GroupBatch outputs it held. The victim also runs the reduce task, so the
+// retried reduce task's fetch finds them missing and the scheduler
+// recomputes them from lineage. The answer is the no-failure run's, row for
+// row, on both map sides.
+TEST_F(ShuffleLifetimeTest, GroupByRecomputesLostBatchesAfterNodeDeath) {
+  for (const bool cached : {false, true}) {
+    SCOPED_TRACE(cached ? "columnar map side" : "row map side");
+    const std::string sql =
+        "SELECT k, COUNT(*), SUM(w), AVG(w), MAX(w) FROM u GROUP BY k";
+    // Two identical clusters: the first runs the query undisturbed and
+    // times its stages; the second loses a node as the reduce stage starts.
+    auto make = [&](std::shared_ptr<ClusterContext>* ctx,
+                    std::unique_ptr<SharkSession>* session) {
+      *ctx = std::make_shared<ClusterContext>(SmallConfig());
+      *session = std::make_unique<SharkSession>(*ctx);
+      ASSERT_TRUE(LoadTables(session->get()).ok());
+      (*session)->options().broadcast_threshold_bytes = 0;
+      if (cached) {
+        ASSERT_TRUE((*session)->CacheTable("u").ok());
+      }
+    };
+    std::shared_ptr<ClusterContext> base_ctx, fault_ctx;
+    std::unique_ptr<SharkSession> base, faulty;
+    make(&base_ctx, &base);
+    make(&fault_ctx, &faulty);
+    auto clean = base->Sql(sql);
+    ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+    ASSERT_NE(clean->profile, nullptr);
+    const StageTrace* map_stage = nullptr;
+    const StageTrace* reduce_stage = nullptr;
+    for (const StageTrace& st : clean->profile->stages) {
+      if (st.is_map_stage && st.label.find("aggKey") != std::string::npos) {
+        map_stage = &st;
+      } else if (map_stage != nullptr && reduce_stage == nullptr) {
+        reduce_stage = &st;
+      }
+    }
+    ASSERT_NE(map_stage, nullptr);
+    ASSERT_NE(reduce_stage, nullptr);
+    ASSERT_FALSE(reduce_stage->tasks.empty());
+    const int victim = reduce_stage->tasks.front().node;
+    bool victim_ran_map_task = false;
+    for (const TaskTrace& t : map_stage->tasks) {
+      victim_ran_map_task = victim_ran_map_task || t.node == victim;
+    }
+    ASSERT_TRUE(victim_ran_map_task);
+    fault_ctx->InjectFault(FaultEvent{FaultEvent::Kind::kKill,
+                                      map_stage->end_time + 1e-9, victim, 1.0});
+    const size_t start_shuffles = fault_ctx->shuffle_manager().num_shuffles();
+    const uint64_t start_ledger =
+        fault_ctx->memory_manager().total_shuffle_bytes();
+    auto recovered = faulty->Sql(sql);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_GT(recovered->metrics.tasks_failed, 0);
+    EXPECT_GT(recovered->metrics.map_tasks_recovered, 0);
+    EXPECT_EQ(recovered->rows, clean->rows);
+    EXPECT_EQ(fault_ctx->shuffle_manager().num_shuffles(), start_shuffles);
+    EXPECT_EQ(fault_ctx->memory_manager().total_shuffle_bytes(), start_ledger);
+  }
+}
+
 // A cached DISTRIBUTE BY table keeps the shuffle its partitions were built
 // from: that shuffle is the table's lineage. Killing the node that holds one
 // of its cached partitions after the CTAS returned must recompute that

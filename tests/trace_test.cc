@@ -150,6 +150,25 @@ TEST_F(TraceTest, ExplainAnalyzeAnnotatesPlan) {
   EXPECT_EQ(annotations, r.profile->stages.size()) << text;
 }
 
+// The columnar group-by fuses scan, filter and key evaluation into its map
+// stage; EXPLAIN ANALYZE still attributes that stage to the Aggregate.
+TEST_F(TraceTest, ExplainAnalyzeAttributesVectorizedAggregate) {
+  ASSERT_TRUE(session_->CacheTable("visits").ok());
+  QueryResult r = MustQuery(
+      "EXPLAIN ANALYZE SELECT sourceIP, SUM(adRevenue) FROM visits "
+      "GROUP BY sourceIP");
+  std::string text;
+  for (const Row& row : r.rows) text += row.Get(0).str() + "\n";
+  const size_t agg = text.find("Aggregate");
+  const size_t map_stage = text.find("[shuffleMap:aggKey:vecScan:visits]");
+  const size_t scan = text.find("Scan visits");
+  ASSERT_NE(agg, std::string::npos) << text;
+  ASSERT_NE(map_stage, std::string::npos) << text;
+  EXPECT_LT(agg, map_stage) << text;
+  EXPECT_LT(map_stage, scan) << text;
+  EXPECT_EQ(text.find("other stages:"), std::string::npos) << text;
+}
+
 TEST_F(TraceTest, PlainExplainDoesNotExecute) {
   QueryResult r = MustQuery(std::string("EXPLAIN ") + kJoinAgg);
   ASSERT_EQ(r.schema.num_fields(), 1);

@@ -15,6 +15,7 @@
 
 #include "columnar/table_partition.h"
 #include "exec/vectorized/column_batch.h"
+#include "exec/vectorized/group_table.h"
 #include "exec/vectorized/kernels.h"
 #include "sql/expr_compiler.h"
 #include "sql/parser.h"
@@ -168,7 +169,8 @@ TEST(VecKernelTest, GroupTableUsesValueEquality) {
   std::vector<const vec::ColumnVector*> keys = {&batch.cols[0]};
   std::vector<uint64_t> hashes;
   vec::HashKeyColumns(keys, batch.num_rows, &hashes);
-  vec::VecGroupTable table;
+  auto no_calls = std::make_shared<const std::vector<AggCall>>();
+  vec::VecGroupTable table(no_calls, 1);
   std::vector<size_t> group_of;
   for (size_t r = 0; r < rows.size(); ++r) {
     group_of.push_back(table.FindOrInsert(keys, r, hashes[r]));
@@ -180,9 +182,9 @@ TEST(VecKernelTest, GroupTableUsesValueEquality) {
   EXPECT_EQ(group_of[4], group_of[5]);  // NULL groups with NULL
   EXPECT_NE(group_of[6], group_of[7]);  // 2^53 != 2^53+2
   // Insertion order is the group order.
-  EXPECT_TRUE(table.group_keys()[0] == Row({Value::Double(0.0)}));
+  EXPECT_TRUE(table.batch().key(0).At(0).ToValue() == Value::Double(0.0));
   // Group the same data many times over to force a rehash.
-  vec::VecGroupTable big;
+  vec::VecGroupTable big(no_calls, 1);
   Schema ischema({{"i", TypeKind::kInt64}});
   std::vector<Row> irows;
   for (int i = 0; i < 3000; ++i) irows.push_back(Row({Value::Int64(i % 700)}));

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Full local CI: tier-1 tests in a plain build, every bench against the
-# claims manifest, the differential fuzzer and the observability check, then
-# the suite under AddressSanitizer, ThreadSanitizer and
-# UndefinedBehaviorSanitizer. Each sanitizer phase uses its own build
-# directory so caches stay valid across runs.
+# claims manifest, the differential fuzzer, the benchmark's selftest and the
+# observability check, then the suite under AddressSanitizer,
+# ThreadSanitizer and UndefinedBehaviorSanitizer. Each sanitizer phase uses
+# its own build directory so caches stay valid across runs.
 #
 # Usage: tools/ci.sh
 set -euo pipefail
@@ -55,6 +55,16 @@ echo "=== differential fuzz (fixed seeds) ==="
 cmake --build build -j "$(nproc)" --target shark_fuzz
 build/tools/fuzz/shark_fuzz --replay tests/fuzz_corpus
 build/tools/fuzz/shark_fuzz --seed-start 1 --seeds "${FUZZ_SEEDS:-500}"
+
+echo "=== perfbench selftest (reduced olap_mix vs the reference evaluator) ==="
+# The benchmark's query mix at reduced size (selection, the many-group and
+# SUBSTR group-bys, the join's group-by, top-k, a LIKE count and a DFS scan),
+# each answer checked row for row against the reference evaluator, for three
+# seeds. Builds perfbench/ and the engine into .bench_build on first use;
+# changes nothing under perfbench/.
+for seed in 1 2 3; do
+  python3 perfbench/run.py --selftest --seed "$seed"
+done
 
 echo "=== observability plane (endpoint schema + determinism) ==="
 # tools/obs_check starts shark_server with the HTTP observability listener on
