@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <sys/resource.h>
 #include <memory>
 #include <string>
 #include <utility>
@@ -60,6 +61,28 @@ class WallTimer {
 
  private:
   std::chrono::steady_clock::time_point start_;
+};
+
+/// Process CPU stopwatch (user + system time of every thread, from
+/// getrusage): host work that, unlike wall-clock, does not grow while the
+/// process waits for a core it shares with its neighbours.
+class CpuTimer {
+ public:
+  CpuTimer() : start_(NowMs()) {}
+  double ElapsedMs() const { return NowMs() - start_; }
+
+ private:
+  static double NowMs() {
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    auto ms = [](const timeval& tv) {
+      return static_cast<double>(tv.tv_sec) * 1e3 +
+             static_cast<double>(tv.tv_usec) / 1e3;
+    };
+    return ms(ru.ru_utime) + ms(ru.ru_stime);
+  }
+
+  double start_;
 };
 
 /// Paper methodology (§6.1): run six times, discard the first (JIT warmup),

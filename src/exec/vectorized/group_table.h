@@ -3,11 +3,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "exec/vectorized/column_batch.h"
+#include "exec/vectorized/key_cell.h"
 #include "rdd/shuffle.h"
 #include "rdd/task_context.h"
 #include "relation/row.h"
@@ -17,41 +16,6 @@
 
 namespace shark {
 namespace vec {
-
-/// One group-key cell, borrowed from wherever it lives (a ColumnVector, a
-/// Value or a KeyColumn). `bits` holds the BOOLEAN/BIGINT/DATE payload or
-/// the DOUBLE's bit pattern; `str` views a STRING's bytes.
-struct KeyCell {
-  TypeKind kind = TypeKind::kNull;
-  uint64_t bits = 0;
-  std::string_view str;
-
-  static KeyCell Of(const Value& v);
-  static KeyCell Of(const ColumnVector& col, size_t i);
-  /// Value::operator== (NULL == NULL, NaN == NaN, exact BIGINT/DOUBLE
-  /// cross-type equality).
-  bool operator==(const KeyCell& other) const;
-  Value ToValue() const;
-};
-
-/// One group-key column of a GroupBatch: a kind and an 8-byte payload per
-/// cell, and every string's bytes in one buffer the column owns. Appending
-/// a cell never allocates per cell.
-class KeyColumn {
- public:
-  size_t size() const { return kinds_.size(); }
-  void Append(const KeyCell& cell);
-  KeyCell At(size_t i) const;
-  /// ApproxSizeOf of the cell's Value, without building it.
-  uint64_t CellBytes(size_t i) const;
-
- private:
-  std::vector<TypeKind> kinds_;
-  // BOOLEAN/BIGINT/DATE payload, DOUBLE bits, or a STRING's
-  // (offset << 32 | length) into chars_.
-  std::vector<uint64_t> payload_;
-  std::string chars_;
-};
 
 /// One aggregate call's state for every group of a GroupBatch, one typed
 /// column per field the call uses (see BasicAggCellRef): `count` and

@@ -1,11 +1,13 @@
 #include "exec/vectorized/vec_exec.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "common/logging.h"
 #include "exec/vectorized/column_batch.h"
 #include "exec/vectorized/group_table.h"
+#include "exec/vectorized/join_table.h"
 #include "exec/vectorized/kernels.h"
 #include "rdd/pair_rdd.h"
 #include "sql/aggregates.h"
@@ -303,6 +305,199 @@ class AggReduceRdd final : public TypedRdd<Row> {
   BucketAssignment assignment_;
 };
 
+/// Map side of the shuffle join: each row's keys are evaluated once and the
+/// row lands in the task's JoinBatch.
+class RowJoinShuffleDep final : public ShuffleDependency {
+ public:
+  RowJoinShuffleDep(RddPtr<Row> parent, int num_buckets,
+                    std::shared_ptr<const std::vector<CompiledExpr>> keys)
+      : ShuffleDependency(parent, num_buckets), keys_(std::move(keys)) {}
+
+  MapOutput PartitionBlock(const BlockData& block,
+                           TaskContext* tctx) const override {
+    const auto& in = *std::static_pointer_cast<const std::vector<Row>>(block);
+    auto batch = std::make_shared<JoinBatch>(
+        keys_->size(), in.empty() ? 0 : in.front().fields.size());
+    batch->Reserve(in.size());
+    Row key;
+    key.fields.resize(keys_->size());
+    for (const Row& r : in) {
+      for (size_t k = 0; k < key.fields.size(); ++k) {
+        key.fields[k] = (*keys_)[k].Eval(r);
+      }
+      batch->Append(key, r, KeyHash(key));
+    }
+    return LayOutJoinBatch(std::move(batch), num_buckets_, tctx);
+  }
+
+ private:
+  std::shared_ptr<const std::vector<CompiledExpr>> keys_;
+};
+
+const JoinSlice& AsJoinSlice(const BlockData& bucket) {
+  return *static_cast<const JoinSlice*>(bucket.get());
+}
+
+/// Reduce side of the shuffle join (see BuildJoinReduce).
+class JoinReduceRdd final : public TypedRdd<Row> {
+ public:
+  JoinReduceRdd(ClusterContext* ctx, std::shared_ptr<ShuffleDependency> left,
+                std::shared_ptr<ShuffleDependency> right, JoinType join_type,
+                int left_width, int right_width, BucketAssignment assignment)
+      : TypedRdd<Row>(ctx, "joinOutput"),
+        left_(left),
+        right_(right),
+        join_type_(join_type),
+        left_width_(static_cast<size_t>(left_width)),
+        right_width_(static_cast<size_t>(right_width)),
+        assignment_(std::move(assignment)) {
+    SHARK_CHECK(left->num_buckets() == right->num_buckets());
+    this->deps_.push_back(Dependency{nullptr, left});
+    this->deps_.push_back(Dependency{nullptr, right});
+  }
+
+  int num_partitions() const override {
+    return static_cast<int>(assignment_.size());
+  }
+
+  Block Compute(int p, TaskContext* tctx) const override {
+    const auto& my_buckets = assignment_[static_cast<size_t>(p)];
+    std::vector<BlockData> lbs =
+        tctx->FetchShuffleBuckets(left_->shuffle_id(), my_buckets);
+    std::vector<BlockData> rbs =
+        tctx->FetchShuffleBuckets(right_->shuffle_id(), my_buckets);
+    JoinHashTable table;
+    size_t rows = 0;
+    for (const auto* side : {&lbs, &rbs}) {
+      for (const BlockData& b : *side) rows += AsJoinSlice(b).size();
+    }
+    table.Reserve(rows);
+    uint64_t row_bytes = 0;  // ApproxSizeOf of every fetched Row
+    // Chains one side's slices; returns (working-set bytes, records).
+    auto chain = [&](const std::vector<BlockData>& slices, int side) {
+      uint64_t bytes = 0, records = 0;
+      for (const BlockData& b : slices) {
+        const JoinSlice& slice = AsJoinSlice(b);
+        tctx->work().hash_records += slice.size();
+        tctx->work().rows_processed += slice.size();
+        bytes += slice.bytes;
+        records += slice.size();
+        row_bytes += slice.bytes - slice.key_bytes;
+        for (size_t i = 0; i < slice.size(); ++i) {
+          table.Insert(*slice.batch, slice.row(i), side);
+        }
+      }
+      return std::make_pair(bytes, records);
+    };
+    // Join build table: reserve the left side, then grow by the right side;
+    // whichever extension overruns the task's budget degrades to grace-hash
+    // spill partitions.
+    const auto [left_ws, left_records] = chain(lbs, 0);
+    tctx->ReserveOrSpillHash(left_ws, left_records);
+    const auto [right_ws, right_records] = chain(rbs, 1);
+    tctx->GrowOrSpillHash(right_ws, right_records);
+    Block out = Emit(table);
+    // Flattening the co-group: one row of work per key.
+    tctx->work().rows_processed += table.num_keys();
+    tctx->ReleaseAllWorkingSet();
+    if (tctx->profile().materialize_stages_to_dfs) {
+      // The co-group a MapReduce chain materializes: each key Row with its
+      // two row vectors.
+      uint64_t cogroup_bytes = row_bytes;
+      for (uint32_t k = 0; k < table.num_keys(); ++k) {
+        const JoinRowRef& key = table.key_row(k);
+        cogroup_bytes += key.batch->KeyBytes(key.row) + 2 * 24;
+      }
+      internal_shuffle::ChargeStageMaterialization(cogroup_bytes, tctx);
+    }
+    return out;
+  }
+
+ private:
+  Block Emit(const JoinHashTable& t) const {
+    constexpr uint32_t kEnd = JoinHashTable::kEnd;
+    auto joined = [&](const JoinRowRef* l, const JoinRowRef* r) {
+      Row row;
+      row.fields.reserve(left_width_ + right_width_);
+      if (l != nullptr) {
+        l->batch->AppendFields(l->row, &row.fields);
+      } else {
+        row.fields.resize(left_width_);
+      }
+      if (r != nullptr) {
+        r->batch->AppendFields(r->row, &row.fields);
+      } else {
+        row.fields.resize(row.fields.size() + right_width_);
+      }
+      return row;
+    };
+    Block out;
+    for (uint32_t k = 0; k < t.num_keys(); ++k) {
+      const uint32_t lhead = t.head(k, 0);
+      const uint32_t rhead = t.head(k, 1);
+      for (uint32_t l = lhead; l != kEnd; l = t.next(l)) {
+        for (uint32_t r = rhead; r != kEnd; r = t.next(r)) {
+          out.push_back(joined(&t.entry(l), &t.entry(r)));
+        }
+      }
+      // Null-extend the preserved side of an outer join (§SQL).
+      if (join_type_ == JoinType::kLeftOuter && rhead == kEnd) {
+        for (uint32_t l = lhead; l != kEnd; l = t.next(l)) {
+          out.push_back(joined(&t.entry(l), nullptr));
+        }
+      }
+      if (join_type_ == JoinType::kRightOuter && lhead == kEnd) {
+        for (uint32_t r = rhead; r != kEnd; r = t.next(r)) {
+          out.push_back(joined(nullptr, &t.entry(r)));
+        }
+      }
+    }
+    return out;
+  }
+
+  std::shared_ptr<ShuffleDependency> left_;
+  std::shared_ptr<ShuffleDependency> right_;
+  JoinType join_type_;
+  size_t left_width_;
+  size_t right_width_;
+  BucketAssignment assignment_;
+};
+
+/// One task reading every bucket of a join shuffle back into rows.
+class JoinGatherRdd final : public TypedRdd<Row> {
+ public:
+  JoinGatherRdd(ClusterContext* ctx, std::shared_ptr<ShuffleDependency> dep)
+      : TypedRdd<Row>(ctx, "gatherSmallSide"), dep_(dep) {
+    this->deps_.push_back(Dependency{nullptr, dep});
+  }
+
+  int num_partitions() const override { return 1; }
+
+  Block Compute(int, TaskContext* tctx) const override {
+    std::vector<int> all(static_cast<size_t>(dep_->num_buckets()));
+    std::iota(all.begin(), all.end(), 0);
+    Block out;
+    uint64_t bytes = 0;
+    for (const BlockData& b :
+         tctx->FetchShuffleBuckets(dep_->shuffle_id(), all)) {
+      const JoinSlice& slice = AsJoinSlice(b);
+      bytes += slice.bytes;
+      for (size_t i = 0; i < slice.size(); ++i) {
+        Row row;
+        row.fields.reserve(slice.batch->width());
+        slice.batch->AppendFields(slice.row(i), &row.fields);
+        out.push_back(std::move(row));
+      }
+    }
+    tctx->work().rows_processed += out.size();
+    internal_shuffle::ChargeStageMaterialization(bytes, tctx);
+    return out;
+  }
+
+ private:
+  std::shared_ptr<ShuffleDependency> dep_;
+};
+
 }  // namespace
 
 std::shared_ptr<ShuffleDependency> MakeVecAggDep(
@@ -345,6 +540,32 @@ RddPtr<Row> BuildAggReduce(std::shared_ptr<ShuffleDependency> dep,
   auto reduced = std::make_shared<AggReduceRdd>(
       ctx, std::move(dep), std::move(calls), num_keys, std::move(assignment));
   return std::make_shared<PassThroughRdd<Row>>(reduced, "aggFinalize");
+}
+
+std::shared_ptr<ShuffleDependency> MakeJoinDep(
+    RddPtr<Row> input, int num_buckets,
+    std::shared_ptr<const std::vector<CompiledExpr>> keys, std::string label) {
+  // The key-evaluation step keeps its own label and per-row charge; the
+  // dependency evaluates the keys while filling the batch.
+  auto keyed = std::make_shared<PassThroughRdd<Row>>(input, std::move(label));
+  return std::make_shared<RowJoinShuffleDep>(keyed, num_buckets,
+                                             std::move(keys));
+}
+
+RddPtr<Row> BuildJoinReduce(std::shared_ptr<ShuffleDependency> left,
+                            std::shared_ptr<ShuffleDependency> right,
+                            JoinType join_type, int left_width,
+                            int right_width, BucketAssignment assignment) {
+  ClusterContext* ctx = left->parent()->context();
+  return std::make_shared<JoinReduceRdd>(ctx, std::move(left),
+                                         std::move(right), join_type,
+                                         left_width, right_width,
+                                         std::move(assignment));
+}
+
+RddPtr<Row> BuildJoinGather(std::shared_ptr<ShuffleDependency> dep) {
+  ClusterContext* ctx = dep->parent()->context();
+  return std::make_shared<JoinGatherRdd>(ctx, std::move(dep));
 }
 
 }  // namespace vec

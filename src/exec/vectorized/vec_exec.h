@@ -83,6 +83,31 @@ RddPtr<Row> BuildAggReduce(std::shared_ptr<ShuffleDependency> dep,
                            std::shared_ptr<const std::vector<AggCall>> calls,
                            size_t num_keys, BucketAssignment assignment);
 
+/// Map side of a shuffle join over an RDD of rows: each task evaluates its
+/// rows' join keys once and copies the rows into one flat JoinBatch
+/// (join_table.h), whose buckets are slices of it. Its stage is labeled
+/// `label` (joinKeyL or joinKeyR).
+std::shared_ptr<ShuffleDependency> MakeJoinDep(
+    RddPtr<Row> input, int num_buckets,
+    std::shared_ptr<const std::vector<CompiledExpr>> keys, std::string label);
+
+/// The shuffle join's reducer over two MakeJoinDep sides ("joinOutput"):
+/// chains each reduce partition's fetched left slices, then its right
+/// slices, in fetch order into one two-sided JoinHashTable and emits the
+/// joined rows key by key in first-seen order. Per key: every left row with
+/// every right row, then the preserved side's null extension when the other
+/// side has none. Charges what co-grouping the same (key Row, Row) pairs
+/// and flattening the groups charges.
+RddPtr<Row> BuildJoinReduce(std::shared_ptr<ShuffleDependency> left,
+                            std::shared_ptr<ShuffleDependency> right,
+                            JoinType join_type, int left_width,
+                            int right_width, BucketAssignment assignment);
+
+/// Every row of a MakeJoinDep shuffle, read back out of its slices in fetch
+/// order by one task ("gatherSmallSide", the map join's build side). Charges
+/// what concatenating the same (key Row, Row) buckets charges.
+RddPtr<Row> BuildJoinGather(std::shared_ptr<ShuffleDependency> dep);
+
 }  // namespace vec
 }  // namespace shark
 

@@ -229,6 +229,34 @@ inline BucketAssignment IdentityAssignment(int num_buckets) {
   return a;
 }
 
+/// The one ordering rule of the reduce-side RDDs: one output record per key,
+/// keys in first-seen (fetch) order. Maps a key to its record's index in
+/// `out`, whose elements carry the key as `.first`; a key seen for the first
+/// time gets the record `make()` appended. Indexed by key hash, so a key is
+/// copied only into its record.
+template <typename Out>
+class FirstSeenIndex {
+ public:
+  explicit FirstSeenIndex(std::vector<Out>* out) : out_(out) {}
+
+  /// The index of k's record and whether it was just appended.
+  template <typename K, typename Make>
+  std::pair<size_t, bool> FindOrAppend(const K& k, Make make) {
+    const uint64_t h = KeyHash(k);
+    auto [lo, hi] = index_.equal_range(h);
+    for (auto it = lo; it != hi; ++it) {
+      if ((*out_)[it->second].first == k) return {it->second, false};
+    }
+    index_.emplace(h, out_->size());
+    out_->push_back(make());
+    return {out_->size() - 1, true};
+  }
+
+ private:
+  std::vector<Out>* out_;
+  std::unordered_multimap<uint64_t, size_t> index_;
+};
+
 /// Final merge of map-side combiners: one output record per key.
 template <typename K, typename C>
 class ShuffledReduceRdd final : public TypedRdd<std::pair<K, C>> {
@@ -256,11 +284,10 @@ class ShuffledReduceRdd final : public TypedRdd<std::pair<K, C>> {
     std::vector<BlockData> buckets = tctx->FetchShuffleBuckets(
         dep_->shuffle_id(), assignment_[static_cast<size_t>(p)],
         &effective_records);
-    // Keys in first-seen (fetch) order with their merged combiners, indexed
-    // by key hash: the first sighting of a key is copied once, later ones
-    // are merged in place.
+    // Keys in first-seen (fetch) order with their merged combiners: the
+    // first sighting of a key is copied once, later ones are merged in place.
     typename TypedRdd<std::pair<K, C>>::Block out;
-    std::unordered_multimap<uint64_t, size_t> index;
+    FirstSeenIndex index(&out);
     uint64_t records_in = 0;
     // Per-record reduce charges use the cardinality-adjusted record count so
     // that the cost model's uniform scaling stays faithful.
@@ -271,17 +298,8 @@ class ShuffledReduceRdd final : public TypedRdd<std::pair<K, C>> {
           *std::static_pointer_cast<const std::vector<std::pair<K, C>>>(b);
       records_in += vec.size();
       for (const auto& kc : vec) {
-        const uint64_t h = KeyHash(kc.first);
-        auto [lo, hi] = index.equal_range(h);
-        auto hit = std::find_if(lo, hi, [&](const auto& entry) {
-          return out[entry.second].first == kc.first;
-        });
-        if (hit != hi) {
-          merge_(out[hit->second].second, kc.second);
-        } else {
-          index.emplace(h, out.size());
-          out.push_back(kc);
-        }
+        auto [i, fresh] = index.FindOrAppend(kc.first, [&] { return kc; });
+        if (!fresh) merge_(out[i].second, kc.second);
       }
     }
     // The merge table and the reduce output hold one record per key —
@@ -308,7 +326,8 @@ class ShuffledReduceRdd final : public TypedRdd<std::pair<K, C>> {
   BucketAssignment assignment_;
 };
 
-/// Group-by-key: one (key, all values) record per key.
+/// Group-by-key: one (key, all values) record per key, keys in first-seen
+/// order.
 template <typename K, typename V>
 class ShuffledGroupRdd final
     : public TypedRdd<std::pair<K, std::vector<V>>> {
@@ -329,18 +348,19 @@ class ShuffledGroupRdd final
       int p, TaskContext* tctx) const override {
     std::vector<BlockData> buckets = tctx->FetchShuffleBuckets(
         dep_->shuffle_id(), assignment_[static_cast<size_t>(p)]);
-    std::unordered_map<K, std::vector<V>, KeyHasher<K>> groups;
+    typename TypedRdd<std::pair<K, std::vector<V>>>::Block out;
+    FirstSeenIndex index(&out);
     uint64_t records_in = 0;
     for (const BlockData& b : buckets) {
       auto vec = std::static_pointer_cast<const std::vector<std::pair<K, V>>>(b);
       tctx->work().hash_records += vec->size();
       tctx->work().rows_processed += vec->size();
       records_in += vec->size();
-      for (const auto& [k, v] : *vec) groups[k].push_back(v);
+      for (const auto& [k, v] : *vec) {
+        auto make = [&] { return std::make_pair(k, std::vector<V>()); };
+        out[index.FindOrAppend(k, make).first].second.push_back(v);
+      }
     }
-    typename TypedRdd<std::pair<K, std::vector<V>>>::Block out;
-    out.reserve(groups.size());
-    for (auto& [k, vs] : groups) out.emplace_back(k, std::move(vs));
     // The group table holds every value; large groups degrade to grace-hash
     // spill partitions past the task's budget.
     tctx->ReserveOrSpillHash(ApproxSizeOfRange(out), records_in);
@@ -355,6 +375,8 @@ class ShuffledGroupRdd final
 };
 
 /// Shuffle (co-group) join input: for each key, the values from both sides.
+/// Keys in first-seen order: the left buckets in fetch order, then keys seen
+/// only on the right; each side's values in fetch order.
 template <typename K, typename V, typename W>
 class CoGroupedRdd final
     : public TypedRdd<std::pair<K, std::pair<std::vector<V>, std::vector<W>>>> {
@@ -384,12 +406,12 @@ class CoGroupedRdd final
         tctx->FetchShuffleBuckets(left_->shuffle_id(), my_buckets);
     std::vector<BlockData> rbs =
         tctx->FetchShuffleBuckets(right_->shuffle_id(), my_buckets);
-    // Local join algorithm selection (§3.1.1): build the hash table over the
-    // smaller input, stream the other. Costs are hash-record charges; the
-    // output is identical either way.
-    std::unordered_map<K, std::pair<std::vector<V>, std::vector<W>>,
-                       KeyHasher<K>>
-        table;
+    typename TypedRdd<Element>::Block out;
+    FirstSeenIndex index(&out);
+    auto group = [&](const K& k) -> auto& {
+      return out[index.FindOrAppend(k, [&] { return Element(k, {}); }).first]
+          .second;
+    };
     uint64_t left_ws = 0, left_records = 0;
     for (const BlockData& b : lbs) {
       auto vec = std::static_pointer_cast<const std::vector<std::pair<K, V>>>(b);
@@ -397,7 +419,7 @@ class CoGroupedRdd final
       tctx->work().rows_processed += vec->size();
       left_ws += ApproxSizeOfRange(*vec);
       left_records += vec->size();
-      for (const auto& [k, v] : *vec) table[k].first.push_back(v);
+      for (const auto& [k, v] : *vec) group(k).first.push_back(v);
     }
     // Join build table: reserve the left side, then grow by the right side;
     // whichever extension overruns the task's budget degrades to grace-hash
@@ -410,12 +432,9 @@ class CoGroupedRdd final
       tctx->work().rows_processed += vec->size();
       right_ws += ApproxSizeOfRange(*vec);
       right_records += vec->size();
-      for (const auto& [k, w] : *vec) table[k].second.push_back(w);
+      for (const auto& [k, w] : *vec) group(k).second.push_back(w);
     }
     tctx->GrowOrSpillHash(right_ws, right_records);
-    typename TypedRdd<Element>::Block out;
-    out.reserve(table.size());
-    for (auto& [k, vw] : table) out.emplace_back(k, std::move(vw));
     tctx->ReleaseAllWorkingSet();
     internal_shuffle::ChargeStageMaterialization(ApproxSizeOfRange(out), tctx);
     return out;

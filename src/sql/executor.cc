@@ -5,10 +5,10 @@
 #include <map>
 #include <numeric>
 #include <set>
-#include <unordered_map>
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "exec/vectorized/join_table.h"
 #include "exec/vectorized/vec_exec.h"
 #include "index/btree.h"
 #include "rdd/pair_rdd.h"
@@ -17,20 +17,6 @@
 #include "sql/planner/join_reorder.h"
 
 namespace shark {
-
-/// Broadcast hash table for map joins: join key -> build-side rows.
-/// Lives at namespace scope (not an unnamed namespace) so that ADL finds the
-/// ApproxSizeOf overload from the Broadcast template.
-using JoinTable = std::unordered_map<Row, std::vector<Row>, KeyHasher<Row>>;
-
-uint64_t ApproxSizeOf(const JoinTable& table) {
-  uint64_t total = 64;
-  for (const auto& [k, rows] : table) {
-    total += ApproxSizeOf(k) + 16;
-    for (const Row& r : rows) total += ApproxSizeOf(r);
-  }
-  return total;
-}
 
 namespace {
 
@@ -78,36 +64,6 @@ uint64_t VirtualBytes(const ShuffleStats& stats, double virtual_scale) {
                                virtual_scale);
 }
 
-Row ConcatRows(const Row& left, const Row& right) {
-  Row out = left;
-  out.fields.insert(out.fields.end(), right.fields.begin(), right.fields.end());
-  return out;
-}
-
-/// The hash-join kernel shared by the map join and the co-partitioned join:
-/// the build side's rows grouped under their join key.
-JoinTable BuildJoinTable(const std::vector<CompiledExpr>& keys,
-                         std::vector<Row> rows) {
-  JoinTable table;
-  for (Row& r : rows) table[EvalKeyRow(keys, r)].push_back(std::move(r));
-  return table;
-}
-
-/// Appends every (build, probe) match to `out`, columns in (left, right)
-/// order. Charges stay with the callers.
-void ProbeJoinTable(const JoinTable& table,
-                    const std::vector<CompiledExpr>& probe_keys,
-                    const std::vector<Row>& probe, bool build_is_left,
-                    std::vector<Row>* out) {
-  for (const Row& r : probe) {
-    auto it = table.find(EvalKeyRow(probe_keys, r));
-    if (it == table.end()) continue;
-    for (const Row& b : it->second) {
-      out->push_back(build_is_left ? ConcatRows(b, r) : ConcatRows(r, b));
-    }
-  }
-}
-
 /// Narrow-dependency local join of two co-partitioned row RDDs (§3.4): no
 /// shuffle; partition i of the output joins partition i of each side.
 class ZippedJoinRdd final : public TypedRdd<Row> {
@@ -133,16 +89,16 @@ class ZippedJoinRdd final : public TypedRdd<Row> {
     const bool left_build = lrows->size() <= rrows->size();
     const std::vector<Row>& build = left_build ? *lrows : *rrows;
     const std::vector<Row>& probe = left_build ? *rrows : *lrows;
-    JoinTable table =
-        BuildJoinTable(left_build ? *left_keys_ : *right_keys_, build);
+    const vec::JoinBuild table(left_build ? *left_keys_ : *right_keys_,
+                               build);
     tctx->work().hash_records += build.size() + probe.size();
     tctx->work().rows_processed += build.size() + probe.size();
     // The build table holds the whole smaller side; past the task's budget
     // the join degrades to grace-hash partitions on local disk.
     tctx->ReserveOrSpillHash(ApproxSizeOfRange(build), build.size());
     Block out;
-    ProbeJoinTable(table, left_build ? *right_keys_ : *left_keys_, probe,
-                   left_build, &out);
+    table.Probe(left_build ? *right_keys_ : *left_keys_, probe, left_build,
+                &out);
     tctx->ReleaseAllWorkingSet();
     return out;
   }
@@ -802,7 +758,7 @@ Result<RddPtr<Row>> Executor::BuildJoinPair(
     Programs keys;
     const char* key_label;
     double belief;  // static size belief, virtual bytes
-    std::shared_ptr<PlainShuffleDep<std::pair<Row, Row>>> dep = nullptr;
+    std::shared_ptr<ShuffleDependency> dep = nullptr;
     ShuffleStats stats = {};  // set by the pre-shuffle
     uint64_t observed = 0;    // observed virtual bytes
   };
@@ -816,14 +772,9 @@ Result<RddPtr<Row>> Executor::BuildJoinPair(
   static const char* const kModeNames[] = {"static", "adaptive",
                                            "static+adaptive"};
 
-  // Hash-partitions a side's (key, row) pairs into `buckets`.
+  // Hash-partitions a side's rows by join key into `buckets`.
   auto partition = [](Side& s, int buckets) {
-    auto keyed = s.rows->Map(
-        [keys = s.keys](const Row& r) {
-          return std::make_pair(EvalKeyRow(*keys, r), r);
-        },
-        s.key_label);
-    s.dep = MakeHashPartitionDep<Row, Row>(keyed, buckets);
+    s.dep = vec::MakeJoinDep(s.rows, buckets, s.keys, s.key_label);
   };
   // Runs a side's map stage into the fine buckets, so the master sees its
   // size before anything depends on it (§3.1.1).
@@ -877,27 +828,19 @@ Result<RddPtr<Row>> Executor::BuildJoinPair(
     const Side& b = sides[*build];
     // Gather the build side: from its map outputs when it was pre-shuffled,
     // straight from its rows otherwise.
-    std::vector<Row> build_rows;
-    if (b.dep != nullptr) {
-      using RowPair = std::pair<Row, Row>;
-      std::vector<int> all_buckets(static_cast<size_t>(b.dep->num_buckets()));
-      std::iota(all_buckets.begin(), all_buckets.end(), 0);
-      auto gathered = std::make_shared<RepartitionedRdd<RowPair>>(
-          ctx_, b.dep, BucketAssignment{all_buckets}, "gatherSmallSide");
-      SHARK_ASSIGN_OR_RETURN(auto pairs, CollectTracked<RowPair>(gathered));
-      for (auto& [k, v] : pairs) build_rows.push_back(std::move(v));
-    } else {
-      SHARK_ASSIGN_OR_RETURN(build_rows, CollectTracked(b.rows));
-    }
+    SHARK_ASSIGN_OR_RETURN(std::vector<Row> build_rows,
+                           CollectTracked(b.dep != nullptr
+                                              ? vec::BuildJoinGather(b.dep)
+                                              : b.rows));
     const int broadcast_id =
-        ctx_->Broadcast(BuildJoinTable(*b.keys, std::move(build_rows)));
+        ctx_->Broadcast(vec::JoinBuild(*b.keys, build_rows));
     const Side& probe = sides[1 - *build];
     joined = probe.rows->MapPartitions(
         [broadcast_id, probe_keys = probe.keys, build_is_left = *build == 0](
             int, const std::vector<Row>& in, TaskContext* tctx) {
-          auto table = GetBroadcast<JoinTable>(tctx, broadcast_id);
+          auto table = GetBroadcast<vec::JoinBuild>(tctx, broadcast_id);
           std::vector<Row> out;
-          ProbeJoinTable(*table, *probe_keys, in, build_is_left, &out);
+          table->Probe(*probe_keys, in, build_is_left, &out);
           tctx->work().rows_processed += in.size();
           tctx->work().hash_records += in.size();
           return out;
@@ -918,31 +861,8 @@ Result<RddPtr<Row>> Executor::BuildJoinPair(
       assignment = CoalesceObserved({&sides[0].stats, &sides[1].stats},
                                     FineBuckets());
     }
-    auto cogrouped = std::make_shared<CoGroupedRdd<Row, Row, Row>>(
-        ctx_, sides[0].dep, sides[1].dep, assignment, "shuffleJoin");
-    using CoElem = CoGroupedRdd<Row, Row, Row>::Element;
-    const Row left_nulls(
-        std::vector<Value>(static_cast<size_t>(left_width), Value::Null()));
-    const Row right_nulls(
-        std::vector<Value>(static_cast<size_t>(right_width), Value::Null()));
-    joined = cogrouped->FlatMap(
-        [join_type, left_nulls, right_nulls](const CoElem& e) {
-          std::vector<Row> out;
-          const auto& lv = e.second.first;
-          const auto& rv = e.second.second;
-          for (const Row& l : lv) {
-            for (const Row& r : rv) out.push_back(ConcatRows(l, r));
-          }
-          // Null-extend the preserved side of an outer join (§SQL).
-          if (join_type == JoinType::kLeftOuter && rv.empty()) {
-            for (const Row& l : lv) out.push_back(ConcatRows(l, right_nulls));
-          }
-          if (join_type == JoinType::kRightOuter && lv.empty()) {
-            for (const Row& r : rv) out.push_back(ConcatRows(left_nulls, r));
-          }
-          return out;
-        },
-        "joinOutput");
+    joined = vec::BuildJoinReduce(sides[0].dep, sides[1].dep, join_type,
+                                  left_width, right_width, assignment);
   }
   return ApplyPredicate(joined, residual, "joinResidual");
 }
@@ -1380,9 +1300,9 @@ std::vector<std::string> NodeStageKeys(const LogicalPlan& node) {
     case PlanKind::kAggregate:
       return {"aggKey", "aggReduce", "aggFinalize"};
     case PlanKind::kJoin:
-      return {"joinKey",        "shuffleJoin",     "joinOutput",
-              "mapJoinProbe",   "gatherSmallSide", "copartitionJoin",
-              "joinResidual",   "joinRestore"};
+      return {"joinKey",         "joinOutput",      "mapJoinProbe",
+              "gatherSmallSide", "copartitionJoin", "joinResidual",
+              "joinRestore"};
     case PlanKind::kSort:
       return {"sortPartial", "sortGather", "sortFinal"};
     case PlanKind::kLimit:

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <random>
 #include <string>
 #include <unordered_map>
@@ -190,6 +191,7 @@ void ExpectSameWork(const TaskContext& a, const TaskContext& b) {
 }
 
 struct Case {
+  const char* name;
   std::vector<int> key_slots;
   int rows;
   int key_range;
@@ -197,6 +199,10 @@ struct Case {
   double scale;
   uint64_t budget;
 };
+
+// Printed as its name, which becomes the case's name in ctest; the default
+// print is the case's raw bytes, heap addresses that change from run to run.
+void PrintTo(const Case& c, std::ostream* os) { *os << c.name; }
 
 class GroupBatchChargeTest : public ::testing::TestWithParam<Case> {};
 
@@ -311,15 +317,16 @@ INSTANTIATE_TEST_SUITE_P(
     Shapes, GroupBatchChargeTest,
     ::testing::Values(
         // Global aggregate: one group per task, every one in one bucket.
-        Case{{}, 60, 50, 8, 1.0, ~0ULL},
+        Case{"Global", {}, 60, 50, 8, 1.0, ~0ULL},
         // Single keys of each type; NULL and NaN keys among them.
-        Case{{kKeyInt}, 300, 40, 4, 1.0, ~0ULL},
-        Case{{kKeyStr}, 300, 40, 8, 1000.0, ~0ULL},
-        Case{{kKeyDbl}, 300, 40, 3, 50.0, ~0ULL},
+        Case{"IntKey", {kKeyInt}, 300, 40, 4, 1.0, ~0ULL},
+        Case{"StrKey", {kKeyStr}, 300, 40, 8, 1000.0, ~0ULL},
+        Case{"DblKey", {kKeyDbl}, 300, 40, 3, 50.0, ~0ULL},
         // Multi-column keys, many groups, a budget that forces the spill.
-        Case{{kKeyInt, kKeyStr, kKeyDbl}, 500, 200, 16, 1000.0, 4096},
+        Case{"MultiKeySpill", {kKeyInt, kKeyStr, kKeyDbl}, 500, 200, 16,
+             1000.0, 4096},
         // More buckets than groups.
-        Case{{kKeyInt}, 40, 3, 64, 1.0, ~0ULL}));
+        Case{"FewGroups", {kKeyInt}, 40, 3, 64, 1.0, ~0ULL}));
 
 // The column-batch kernels and the row path fill identical tables: same
 // groups in the same order, same hashes, bytes and finalized answers.

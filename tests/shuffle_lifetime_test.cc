@@ -4,6 +4,7 @@
 // a held sql2rdd handle — and are dropped at the end of the first statement
 // or job after that lineage dies.
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -190,6 +191,95 @@ TEST_F(ShuffleLifetimeTest, GroupByRecomputesLostBatchesAfterNodeDeath) {
       victim_ran_map_task = victim_ran_map_task || t.node == victim;
     }
     ASSERT_TRUE(victim_ran_map_task);
+    fault_ctx->InjectFault(FaultEvent{FaultEvent::Kind::kKill,
+                                      map_stage->end_time + 1e-9, victim, 1.0});
+    const size_t start_shuffles = fault_ctx->shuffle_manager().num_shuffles();
+    const uint64_t start_ledger =
+        fault_ctx->memory_manager().total_shuffle_bytes();
+    auto recovered = faulty->Sql(sql);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_GT(recovered->metrics.tasks_failed, 0);
+    EXPECT_GT(recovered->metrics.map_tasks_recovered, 0);
+    EXPECT_EQ(recovered->rows, clean->rows);
+    EXPECT_EQ(fault_ctx->shuffle_manager().num_shuffles(), start_shuffles);
+    EXPECT_EQ(fault_ctx->memory_manager().total_shuffle_bytes(), start_ledger);
+  }
+}
+
+// Shuffle joins ship one JoinBatch per map task, its buckets aliasing slices
+// of it. Static and PDE lowerings, inner and outer: every statement end frees
+// them, so the shuffle count and the shuffle ledger return to their starting
+// values.
+TEST_F(ShuffleLifetimeTest, JoinBatchesAreFreedAtStatementEnd) {
+  const std::vector<std::string> queries = {
+      "SELECT t.k, v, w FROM t JOIN u ON t.k = u.k",
+      "SELECT t.k, v, w FROM t LEFT OUTER JOIN u ON t.v = u.w",
+      "SELECT u.k, w, v FROM t RIGHT OUTER JOIN u ON t.v = u.w",
+      "SELECT t.k, SUM(w) FROM t JOIN u ON t.k = u.k GROUP BY t.k",
+  };
+  for (JoinOptimization mode :
+       {JoinOptimization::kStatic, JoinOptimization::kAdaptive,
+        JoinOptimization::kStaticAdaptive}) {
+    session_->options().join_opt = mode;
+    for (const std::string& sql : queries) {
+      QueryResult r = MustQuery(sql);
+      EXPECT_NE(r.metrics.join_strategy.find("shuffle join"),
+                std::string::npos)
+          << sql << ": " << r.metrics.join_strategy;
+      EXPECT_FALSE(r.rows.empty()) << sql;
+      EXPECT_EQ(LiveShuffles(), start_shuffles_) << sql;
+      EXPECT_EQ(LedgerBytes(), start_ledger_) << sql;
+    }
+  }
+}
+
+// A node killed between the map and reduce stages of a shuffle join loses
+// the JoinBatch outputs it held. The victim also runs a reduce task, so the
+// retried task's fetch finds them missing and the scheduler recomputes them
+// from lineage. The answer is the no-failure run's, row for row, under the
+// static lowering (map stages in the query's job) and the PDE one (map
+// stages run ahead as pre-shuffles).
+TEST_F(ShuffleLifetimeTest, JoinRecomputesLostBatchesAfterNodeDeath) {
+  for (JoinOptimization mode :
+       {JoinOptimization::kStatic, JoinOptimization::kAdaptive}) {
+    SCOPED_TRACE(mode == JoinOptimization::kStatic ? "static" : "adaptive");
+    const std::string sql =
+        "SELECT t.k, v, w FROM t LEFT OUTER JOIN u ON t.k = u.k";
+    auto make = [&](std::shared_ptr<ClusterContext>* ctx,
+                    std::unique_ptr<SharkSession>* session) {
+      *ctx = std::make_shared<ClusterContext>(SmallConfig());
+      *session = std::make_unique<SharkSession>(*ctx);
+      ASSERT_TRUE(LoadTables(session->get()).ok());
+      (*session)->options().broadcast_threshold_bytes = 0;
+      (*session)->options().join_opt = mode;
+    };
+    std::shared_ptr<ClusterContext> base_ctx, fault_ctx;
+    std::unique_ptr<SharkSession> base, faulty;
+    make(&base_ctx, &base);
+    make(&fault_ctx, &faulty);
+    auto clean = base->Sql(sql);
+    ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+    ASSERT_NE(clean->profile, nullptr);
+    // The last join map stage, the reduce stage after it, and the nodes
+    // that hold join map outputs.
+    const StageTrace* map_stage = nullptr;
+    const StageTrace* reduce_stage = nullptr;
+    std::vector<int> map_nodes;
+    for (const StageTrace& st : clean->profile->stages) {
+      if (st.is_map_stage && st.label.find("joinKey") != std::string::npos) {
+        map_stage = &st;
+        reduce_stage = nullptr;
+        for (const TaskTrace& t : st.tasks) map_nodes.push_back(t.node);
+      } else if (map_stage != nullptr && reduce_stage == nullptr) {
+        reduce_stage = &st;
+      }
+    }
+    ASSERT_NE(map_stage, nullptr);
+    ASSERT_NE(reduce_stage, nullptr);
+    ASSERT_FALSE(reduce_stage->tasks.empty());
+    const int victim = reduce_stage->tasks.front().node;
+    ASSERT_NE(std::find(map_nodes.begin(), map_nodes.end(), victim),
+              map_nodes.end());
     fault_ctx->InjectFault(FaultEvent{FaultEvent::Kind::kKill,
                                       map_stage->end_time + 1e-9, victim, 1.0});
     const size_t start_shuffles = fault_ctx->shuffle_manager().num_shuffles();
