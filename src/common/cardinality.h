@@ -138,31 +138,40 @@ struct SampleCardinality {
 };
 
 /// Fills `s`'s split-half fields (d_first, d_second, overlap) from the key
-/// hashes of a sample in arrival order. Sorted, de-duplicated copies of the
-/// two halves and one merge pass count exactly what two hash sets would,
-/// without a node allocation per key.
+/// hashes of a sample in arrival order, in one pass over one open-addressing
+/// table of the distinct hashes, sized to at least twice the sample so it is
+/// never more than half full. Each slot records which halves saw its hash
+/// (bit 0: first, bit 1: second); 0 marks an empty slot, so every hash value,
+/// 0 and UINT64_MAX included, is a key. Counts exactly what two hash sets
+/// would, without a node allocation per key or a sort.
 inline void CountSplitHalves(const std::vector<uint64_t>& hashes,
                              SampleCardinality* s) {
-  const auto mid =
-      hashes.begin() + static_cast<std::ptrdiff_t>(hashes.size() / 2);
-  std::vector<uint64_t> first(hashes.begin(), mid);
-  std::vector<uint64_t> second(mid, hashes.end());
-  for (std::vector<uint64_t>* half : {&first, &second}) {
-    std::sort(half->begin(), half->end());
-    half->erase(std::unique(half->begin(), half->end()), half->end());
-  }
-  size_t overlap = 0;
-  for (size_t i = 0, j = 0; i < first.size() && j < second.size();) {
-    if (first[i] < second[j]) {
-      ++i;
-    } else if (second[j] < first[i]) {
-      ++j;
-    } else {
-      ++overlap, ++i, ++j;
+  const size_t half = hashes.size() / 2;
+  int bits = 4;
+  while ((size_t{1} << bits) < 2 * hashes.size()) ++bits;
+  std::vector<uint64_t> keys(size_t{1} << bits);
+  std::vector<uint8_t> seen(keys.size(), 0);
+  const size_t mask = keys.size() - 1;
+  size_t d_first = 0, d_second = 0, overlap = 0;
+  for (size_t i = 0; i < hashes.size(); ++i) {
+    const uint64_t h = hashes[i];
+    const uint8_t side = i < half ? 1 : 2;
+    // Fibonacci hashing spreads clustered or low-entropy hashes over slots.
+    size_t j = static_cast<size_t>((h * 0x9E3779B97F4A7C15ULL) >> (64 - bits));
+    while (seen[j] != 0 && keys[j] != h) j = (j + 1) & mask;
+    if (seen[j] == 0) {
+      keys[j] = h;
+      seen[j] = side;
+      ++(side == 1 ? d_first : d_second);
+    } else if ((seen[j] & side) == 0) {
+      // A second-half arrival of a hash only the first half had seen.
+      seen[j] |= side;
+      ++d_second;
+      ++overlap;
     }
   }
-  s->d_first = static_cast<double>(first.size());
-  s->d_second = static_cast<double>(second.size());
+  s->d_first = static_cast<double>(d_first);
+  s->d_second = static_cast<double>(d_second);
   s->overlap = static_cast<double>(overlap);
 }
 

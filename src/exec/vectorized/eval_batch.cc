@@ -95,6 +95,12 @@ struct OpView {
   std::string_view S(size_t i) const {
     return uniform ? std::string_view(uval.str()) : sp[off + i];
   }
+  /// The bytes Value::str() returns for the cell (empty for non-strings),
+  /// for a string or generic operand.
+  std::string_view Text(size_t i) const {
+    if (uniform) return uval.str();
+    return cat == Cat::kGen ? std::string_view(gp[off + i].str()) : sp[off + i];
+  }
   /// Exact Value of the cell, as the row path would see it.
   Value Get(size_t i) const { return uniform ? uval : v->ValueAt(off + i); }
 };
@@ -348,6 +354,31 @@ bool AndOrKernel(const OpView& l, const OpView& r, bool is_and, size_t n,
       } else {
         out->ints[i] = 0;
       }
+    }
+  }
+  return true;
+}
+
+/// [NOT] LIKE over string views: text and pattern are string or generic
+/// operands (columns or constants), matched in place without copying either
+/// into a Value. The result is a typed BOOLEAN column; NULL text or pattern
+/// gives NULL. Numeric operands take the per-row fallback.
+bool LikeKernel(const OpView& text, const OpView& pattern, bool neg, size_t n,
+                ColumnVector* out) {
+  auto textual = [](const OpView& w) {
+    return w.cat == Cat::kStr || w.cat == Cat::kGen || w.cat == Cat::kNull;
+  };
+  if (!textual(text) || !textual(pattern)) return false;
+  if (text.cat == Cat::kNull || pattern.cat == Cat::kNull) {
+    *out = AllNullVec(n);
+    return true;
+  }
+  *out = MakeTyped(TypeKind::kBool, Storage::kInt64, n);
+  for (size_t i = 0; i < n; ++i) {
+    if (text.IsNull(i) || pattern.IsNull(i)) {
+      out->nulls[i] = 1;
+    } else {
+      out->ints[i] = LikeMatch(text.Text(i), pattern.Text(i)) != neg ? 1 : 0;
     }
   }
   return true;
@@ -667,12 +698,15 @@ void CompiledExpr::EvalBatch(const vec::ColumnBatch& batch, size_t begin,
         OpView p = ViewOf(stack[stack.size() - 1], begin);
         OpView v = ViewOf(stack[stack.size() - 2], begin);
         bool neg = ins.arg != 0;
-        ColumnVector res = per_row([&](size_t i) {
-          Value vv = v.Get(i), pv = p.Get(i);
-          if (vv.is_null() || pv.is_null()) return Value::Null();
-          bool m = LikeMatch(vv.str(), pv.str());
-          return Value::Bool(neg ? !m : m);
-        });
+        ColumnVector res;
+        if (!LikeKernel(v, p, neg, n, &res)) {
+          res = per_row([&](size_t i) {
+            Value vv = v.Get(i), pv = p.Get(i);
+            if (vv.is_null() || pv.is_null()) return Value::Null();
+            bool m = LikeMatch(vv.str(), pv.str());
+            return Value::Bool(neg ? !m : m);
+          });
+        }
         stack.resize(stack.size() - 2);
         push_owned(std::move(res));
         break;

@@ -9,6 +9,7 @@
 #include "exec/vectorized/group_table.h"
 #include "exec/vectorized/join_table.h"
 #include "exec/vectorized/kernels.h"
+#include "exec/vectorized/key_cell.h"
 #include "rdd/pair_rdd.h"
 #include "sql/aggregates.h"
 
@@ -118,6 +119,208 @@ RddPtr<Row> BuildVecScanProject(
         return out;
       },
       "vecScanProject:" + scan.table);
+}
+
+namespace {
+
+/// SortRows' order on two rows' key Values: key by key under its direction,
+/// then the input index.
+bool SortsBefore(const Value* ka, uint64_t ia, const Value* kb, uint64_t ib,
+                 const std::vector<bool>& asc) {
+  for (size_t k = 0; k < asc.size(); ++k) {
+    const int c = ka[k].Compare(kb[k]);
+    if (c != 0) return asc[k] ? c < 0 : c > 0;
+  }
+  return ia < ib;
+}
+
+/// Sum of ApproxSizeOf over the window's cells of one column.
+uint64_t CellBytes(const ColumnVector& col, size_t w) {
+  uint64_t bytes = 16 * w;
+  if (col.storage == ColumnVector::Storage::kString) {
+    for (size_t i = 0; i < w; ++i) {
+      if (!col.IsNull(i)) bytes += col.strs[i].size();
+    }
+  } else if (col.storage == ColumnVector::Storage::kGeneric) {
+    for (size_t i = 0; i < w; ++i) {
+      if (col.values[i].kind() == TypeKind::kString) {
+        bytes += col.values[i].str().size();
+      }
+    }
+  }
+  return bytes;
+}
+
+/// A task's bounded top-k: the `limit` first rows offered so far in
+/// SortRows' order, as a max-heap whose front is the last of them. Offered
+/// rows arrive in input order, so a row that ties the front on every key
+/// sorts after it and is rejected without being materialized.
+class TopKHeap {
+  struct Entry {
+    std::vector<Value> keys;
+    uint64_t index = 0;
+    Row row;
+  };
+  struct Before {
+    const std::vector<bool>* asc;
+    bool operator()(const Entry& a, const Entry& b) const {
+      return SortsBefore(a.keys.data(), a.index, b.keys.data(), b.index, *asc);
+    }
+  };
+
+ public:
+  TopKHeap(const std::vector<bool>* asc, size_t limit)
+      : asc_(asc), limit_(limit) {}
+
+  /// Offers window row i of the key columns as input row `index`; calls
+  /// `make_row()` only for a row the heap keeps.
+  template <typename MakeRow>
+  void Offer(const std::vector<ColumnVector>& keys, size_t i, uint64_t index,
+             MakeRow make_row) {
+    if (heap_.size() == limit_) {
+      if (limit_ == 0 || !BeforeFront(keys, i)) return;
+      std::pop_heap(heap_.begin(), heap_.end(), Before{asc_});
+      heap_.pop_back();
+    }
+    Entry e;
+    e.keys.reserve(keys.size());
+    for (const ColumnVector& k : keys) e.keys.push_back(k.ValueAt(i));
+    e.index = index;
+    e.row = make_row();
+    heap_.push_back(std::move(e));
+    std::push_heap(heap_.begin(), heap_.end(), Before{asc_});
+    if (heap_.size() == limit_) {
+      front_.clear();
+      for (const Value& v : heap_.front().keys) front_.push_back(KeyCell::Of(v));
+    }
+  }
+
+  /// The kept rows in order; leaves the heap empty.
+  std::vector<Row> TakeSorted() {
+    std::sort_heap(heap_.begin(), heap_.end(), Before{asc_});
+    std::vector<Row> out;
+    out.reserve(heap_.size());
+    for (Entry& e : heap_) out.push_back(std::move(e.row));
+    heap_.clear();
+    return out;
+  }
+
+ private:
+  /// Whether window row i sorts strictly before the heap's front.
+  bool BeforeFront(const std::vector<ColumnVector>& keys, size_t i) const {
+    for (size_t k = 0; k < keys.size(); ++k) {
+      const int c = KeyCell::Of(keys[k], i).Compare(front_[k]);
+      if (c != 0) return (*asc_)[k] ? c < 0 : c > 0;
+    }
+    return false;
+  }
+
+  const std::vector<bool>* asc_;
+  size_t limit_;
+  std::vector<Entry> heap_;
+  std::vector<KeyCell> front_;  // heap_.front()'s keys while the heap is full
+};
+
+}  // namespace
+
+std::vector<Row> SortRows(const std::vector<Row>& in, const SortSpec& spec,
+                          TaskContext* tctx) {
+  // Each row's sort keys are evaluated once; the sort permutes row indices.
+  // Ties break on the input index, so the order is total and equals a
+  // stable sort of the rows. With a LIMIT only the first `limit` positions
+  // are ordered (a partial sort), which yields the same prefix.
+  const size_t k = spec.keys->size();
+  std::vector<Value> key_values;
+  key_values.reserve(in.size() * k);
+  for (const Row& r : in) {
+    for (const CompiledExpr& key : *spec.keys) key_values.push_back(key.Eval(r));
+  }
+  std::vector<uint32_t> order(in.size());
+  std::iota(order.begin(), order.end(), 0u);
+  // External sort-merge path: a partition larger than the task's memory
+  // budget is sorted as budget-sized runs spilled to local disk, then k-way
+  // merged (run I/O and the merge pass charged by the context).
+  tctx->ReserveOrSpillSort(ApproxSizeOfRange(in), in.size());
+  auto before = [&](uint32_t a, uint32_t b) {
+    return SortsBefore(key_values.data() + static_cast<size_t>(a) * k, a,
+                       key_values.data() + static_cast<size_t>(b) * k, b,
+                       *spec.ascending);
+  };
+  size_t n = in.size();
+  if (spec.limit >= 0 && static_cast<int64_t>(n) > spec.limit) {
+    n = static_cast<size_t>(spec.limit);
+    std::partial_sort(order.begin(),
+                      order.begin() + static_cast<std::ptrdiff_t>(n),
+                      order.end(), before);
+  } else {
+    std::sort(order.begin(), order.end(), before);
+  }
+  std::vector<Row> out;
+  out.reserve(n);
+  for (size_t i = 0; i < n; ++i) out.push_back(in[order[i]]);
+  tctx->work().sort_records += in.size();
+  tctx->work().rows_processed += in.size();
+  tctx->ReleaseAllWorkingSet();
+  return out;
+}
+
+RddPtr<Row> BuildVecTopK(
+    const VecScan& scan,
+    std::shared_ptr<const std::vector<CompiledExpr>> projects,
+    uint64_t project_extra, SortSpec spec) {
+  SHARK_CHECK(spec.limit >= 0);
+  return scan.base->MapPartitions(
+      [scan, projects, project_extra, spec](
+          int, const std::vector<TablePartitionPtr>& parts, TaskContext* tctx) {
+        TopKHeap heap(spec.ascending.get(), static_cast<size_t>(spec.limit));
+        uint64_t scanned = 0;
+        uint64_t survived = 0;
+        // ApproxSizeOfRange of the projected rows SortRows would buffer.
+        uint64_t row_bytes = 0;
+        ColumnBatch projected;
+        projected.cols.resize(projects->size());
+        std::vector<ColumnVector> keys(spec.keys->size());
+        for (const TablePartitionPtr& part : parts) {
+          if (part == nullptr) continue;
+          ScannedPart sp = ScanFilterPart(scan, *part, tctx);
+          scanned += sp.scanned;
+          const size_t m = sp.batch.num_rows;
+          for (size_t b = 0; b < m; b += kBatchSize) {
+            const size_t e = std::min(m, b + kBatchSize);
+            const size_t w = e - b;
+            projected.num_rows = w;
+            row_bytes += 24 * w;
+            for (size_t j = 0; j < projects->size(); ++j) {
+              (*projects)[j].EvalBatch(sp.batch, b, e, &projected.cols[j]);
+              row_bytes += CellBytes(projected.cols[j], w);
+            }
+            if (spec.limit > 0) {
+              for (size_t k = 0; k < keys.size(); ++k) {
+                (*spec.keys)[k].EvalBatch(projected, 0, w, &keys[k]);
+              }
+              for (size_t i = 0; i < w; ++i) {
+                heap.Offer(keys, i, survived + i, [&projected, i] {
+                  return MaterializeRow(projected, i);
+                });
+              }
+            }
+            survived += w;
+          }
+        }
+        // BuildVecScanProject's charges, then SortRows' over the rows it
+        // would have built.
+        if (scan.predicate != nullptr) {
+          tctx->work().rows_processed +=
+              ExprChargeRows(scanned, scan.predicate_extra);
+        }
+        tctx->work().rows_processed += ExprChargeRows(survived, project_extra);
+        tctx->ReserveOrSpillSort(row_bytes, survived);
+        tctx->work().sort_records += survived;
+        tctx->work().rows_processed += survived;
+        tctx->ReleaseAllWorkingSet();
+        return heap.TakeSorted();
+      },
+      "sortPartial:vecScan:" + scan.table);
 }
 
 namespace {

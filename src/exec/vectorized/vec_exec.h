@@ -54,6 +54,36 @@ RddPtr<Row> BuildVecScanProject(
     std::shared_ptr<const std::vector<CompiledExpr>> projects,
     uint64_t project_extra);
 
+/// ORDER BY's sort keys, their directions and the LIMIT (-1 for none).
+struct SortSpec {
+  std::shared_ptr<const std::vector<CompiledExpr>> keys;
+  std::shared_ptr<const std::vector<bool>> ascending;
+  int64_t limit = -1;
+};
+
+/// The row path's sort task ("sortPartial", and "sortFinal" over the
+/// gathered partials): evaluates each row's keys once and orders the rows
+/// by Value::Compare under each key's direction, ties broken on the input
+/// index (a stable sort). Under a LIMIT only the first `limit` rows are
+/// ordered and returned. Charges the sort buffer (ApproxSizeOfRange of
+/// `in`, spilling to sorted runs past the task's budget) and one record of
+/// sort and row work per input row.
+std::vector<Row> SortRows(const std::vector<Row>& in, const SortSpec& spec,
+                          TaskContext* tctx);
+
+/// Columnar top-k map task over the columnar store ("sortPartial:vecScan:"):
+/// scan, filter and project batch by batch as BuildVecScanProject does,
+/// evaluate the sort keys with EvalBatch over the projected columns, keep
+/// the task's `spec.limit` first rows on typed cells (SortRows' order) and
+/// materialize only those. Emits the rows, and issues the charges and
+/// memory operations, of BuildVecScanProject followed by SortRows; the sort
+/// buffer's bytes are the projected rows' ApproxSizeOf, summed cell by cell.
+/// Requires spec.limit >= 0.
+RddPtr<Row> BuildVecTopK(
+    const VecScan& scan,
+    std::shared_ptr<const std::vector<CompiledExpr>> projects,
+    uint64_t project_extra, SortSpec spec);
+
 /// Map side of a vectorized hash group-by directly over the columnar store:
 /// scan, filter, column-wise key hashing, batched group-table probing and
 /// typed accumulate kernels in one ShuffleDependency. Each map task ships

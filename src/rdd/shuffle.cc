@@ -65,6 +65,12 @@ void ShuffleManager::PutMapOutput(int shuffle_id, int map_partition,
   // first.
   ReleaseLedger(&slot);
   output.present = true;
+  output.nonempty.assign((output.bucket_bytes.size() + 63) / 64, 0);
+  for (size_t b = 0; b < output.bucket_bytes.size(); ++b) {
+    if (output.bucket_bytes[b] != 0 || output.bucket_records[b] != 0) {
+      output.nonempty[b / 64] |= uint64_t{1} << (b % 64);
+    }
+  }
   if (!output.on_disk && memory_manager_ != nullptr) {
     uint64_t total = 0;
     for (uint64_t b : output.bucket_bytes) total += b;

@@ -49,6 +49,10 @@ struct MapOutput {
   /// Bytes this output charges to the node's shuffle-buffer ledger while
   /// resident in memory (0 when on_disk). Managed by ShuffleManager.
   uint64_t ledger_bytes = 0;
+  /// Bit b set = bucket b has bytes or records; the rest add nothing to a
+  /// fetch. Built by ShuffleManager::PutMapOutput, so reducers walk only
+  /// the non-empty buckets they own.
+  std::vector<uint64_t> nonempty;
 };
 
 /// Ids of shuffles whose ShuffleDependency died, awaiting DropShuffle. An

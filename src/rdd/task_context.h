@@ -2,6 +2,7 @@
 #define SHARK_RDD_TASK_CONTEXT_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -271,6 +272,25 @@ class TaskContext {
                                              const std::vector<int>& buckets,
                                              double* effective_records = nullptr) {
     std::vector<BlockData> out;
+    // Strictly ascending buckets (a coalesced range is) become a bitmap of
+    // words [lo_word, lo_word + owned.size()); each map output is then
+    // walked over its non-empty buckets only, in ascending order: the order
+    // of `buckets`, so every sum below adds the same terms in the same order
+    // (an empty bucket adds 0).
+    std::vector<uint64_t> owned;
+    size_t lo_word = 0;
+    const bool ascending =
+        !buckets.empty() &&
+        std::adjacent_find(buckets.begin(), buckets.end(),
+                           [](int a, int b) { return a >= b; }) ==
+            buckets.end();
+    if (ascending) {
+      lo_word = static_cast<size_t>(buckets.front()) / 64;
+      owned.assign(static_cast<size_t>(buckets.back()) / 64 + 1 - lo_word, 0);
+      for (int b : buckets) {
+        owned[static_cast<size_t>(b) / 64 - lo_word] |= uint64_t{1} << (b % 64);
+      }
+    }
     int num_maps = shuffle_manager_->NumMapPartitions(shuffle_id);
     for (int m = 0; m < num_maps; ++m) {
       const MapOutput* mo = shuffle_manager_->GetMapOutput(shuffle_id, m);
@@ -281,8 +301,7 @@ class TaskContext {
         continue;
       }
       uint64_t bytes = 0;
-      for (int b : buckets) {
-        const auto bi = static_cast<size_t>(b);
+      auto take = [&](size_t bi) {
         if (mo->buckets[bi] != nullptr && mo->bucket_records[bi] > 0) {
           out.push_back(mo->buckets[bi]);
         }
@@ -294,6 +313,17 @@ class TaskContext {
           *effective_records +=
               static_cast<double>(mo->bucket_records[bi]) * cost_scale;
         }
+      };
+      if (ascending) {
+        const size_t end = std::min(lo_word + owned.size(), mo->nonempty.size());
+        for (size_t w = lo_word; w < end; ++w) {
+          for (uint64_t bits = mo->nonempty[w] & owned[w - lo_word]; bits != 0;
+               bits &= bits - 1) {
+            take(w * 64 + static_cast<size_t>(std::countr_zero(bits)));
+          }
+        }
+      } else {
+        for (int b : buckets) take(static_cast<size_t>(b));
       }
       if (bytes == 0) continue;
       // Per-output serving mode: §5's memory-based-shuffle knob resolved at

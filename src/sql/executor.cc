@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
-#include <numeric>
 #include <set>
 
 #include "common/logging.h"
@@ -1150,65 +1149,40 @@ Result<RddPtr<Row>> Executor::BuildJoinSpine(const PlanPtr& plan,
 }
 
 Result<RddPtr<Row>> Executor::BuildSort(const LogicalPlan& node) {
-  SHARK_ASSIGN_OR_RETURN(RddPtr<Row> child, BuildRdd(node.children[0]));
   SHARK_ASSIGN_OR_RETURN(Programs keys, CompileAll(node.sort_exprs, udfs_));
-  auto asc = std::make_shared<std::vector<bool>>(node.sort_ascending);
-  int64_t limit = node.limit;
-
-  auto sort_partition = [keys, asc, limit](int, const std::vector<Row>& in,
-                                           TaskContext* tctx) {
-    // Each row's sort keys are evaluated once; the sort permutes row
-    // indices. Ties break on the input index, so the order is total and
-    // equals a stable sort of the rows. With a LIMIT only the first `limit`
-    // positions are ordered (a partial sort), which yields the same prefix.
-    const size_t k = keys->size();
-    std::vector<Value> key_values;
-    key_values.reserve(in.size() * k);
-    for (const Row& r : in) {
-      for (const CompiledExpr& key : *keys) key_values.push_back(key.Eval(r));
+  const vec::SortSpec spec{
+      keys, std::make_shared<const std::vector<bool>>(node.sort_ascending),
+      node.limit};
+  // Columnar top-k: under a LIMIT over a projected cached scan, one fused
+  // map task keeps each task's first rows on typed columns and builds only
+  // those (ORDER BY always sorts a Project, the select list).
+  RddPtr<Row> partial;
+  const LogicalPlan& child = *node.children[0];
+  if (node.limit >= 0 && child.kind == PlanKind::kProject) {
+    SHARK_ASSIGN_OR_RETURN(Programs projects,
+                           CompileAll(child.project_exprs, udfs_));
+    vec::VecScan vs;
+    if (PrepareVecScan(*child.children[0], &vs)) {
+      uint64_t extra = 0;
+      for (const auto& e : child.project_exprs) extra += UdfExtraRows(*e, udfs_);
+      partial = vec::BuildVecTopK(vs, projects, extra, spec);
     }
-    std::vector<uint32_t> order(in.size());
-    std::iota(order.begin(), order.end(), 0u);
-    // External sort-merge path: a partition larger than the task's memory
-    // budget is sorted as budget-sized runs spilled to local disk, then
-    // k-way merged (run I/O and the merge pass charged by the context).
-    tctx->ReserveOrSpillSort(ApproxSizeOfRange(in), in.size());
-    auto before = [&](uint32_t a, uint32_t b) {
-      const Value* ka = &key_values[static_cast<size_t>(a) * k];
-      const Value* kb = &key_values[static_cast<size_t>(b) * k];
-      for (size_t i = 0; i < k; ++i) {
-        int c = ka[i].Compare(kb[i]);
-        if (c != 0) return (*asc)[i] ? c < 0 : c > 0;
-      }
-      return a < b;
-    };
-    size_t n = in.size();
-    if (limit >= 0 && static_cast<int64_t>(n) > limit) {
-      n = static_cast<size_t>(limit);
-      std::partial_sort(order.begin(),
-                        order.begin() + static_cast<std::ptrdiff_t>(n),
-                        order.end(), before);
-    } else {
-      std::sort(order.begin(), order.end(), before);
-    }
-    std::vector<Row> out;
-    out.reserve(n);
-    for (size_t i = 0; i < n; ++i) out.push_back(in[order[i]]);
-    tctx->work().sort_records += in.size();
-    tctx->work().rows_processed += in.size();
-    tctx->ReleaseAllWorkingSet();
-    return out;
+  }
+  auto sort_rows = [spec](int, const std::vector<Row>& in, TaskContext* tctx) {
+    return vec::SortRows(in, spec, tctx);
   };
+  if (partial == nullptr) {
+    SHARK_ASSIGN_OR_RETURN(RddPtr<Row> rows, BuildRdd(node.children[0]));
+    partial = rows->MapPartitions(sort_rows, "sortPartial");
+  }
 
   // Per-partition (top-k) sort, then a single-reducer merge — Hive's ORDER
   // BY uses one reducer as well.
-  auto partial = child->MapPartitions(sort_partition, "sortPartial");
   auto dep = std::make_shared<PlainShuffleDep<Row>>(
-      RddPtr<Row>(partial), 1, [](const Row&) { return 0; });
+      partial, 1, [](const Row&) { return 0; });
   auto gathered = std::make_shared<RepartitionedRdd<Row>>(
       ctx_, dep, BucketAssignment{{0}}, "sortGather");
-  return RddPtr<Row>(
-      gathered->MapPartitions(sort_partition, "sortFinal"));
+  return RddPtr<Row>(gathered->MapPartitions(sort_rows, "sortFinal"));
 }
 
 Result<RddPtr<Row>> Executor::BuildLimit(const LogicalPlan& node) {
@@ -1218,10 +1192,9 @@ Result<RddPtr<Row>> Executor::BuildLimit(const LogicalPlan& node) {
   // final cut after collect.
   return RddPtr<Row>(child->MapPartitions(
       [limit](int, const std::vector<Row>& in, TaskContext* tctx) {
-        std::vector<Row> out = in;
-        if (static_cast<int64_t>(out.size()) > limit) {
-          out.resize(static_cast<size_t>(limit));
-        }
+        const auto kept = static_cast<std::ptrdiff_t>(
+            std::min<uint64_t>(in.size(), static_cast<uint64_t>(limit)));
+        std::vector<Row> out(in.begin(), in.begin() + kept);
         tctx->work().rows_processed += out.size();
         return out;
       },
@@ -1304,6 +1277,8 @@ std::vector<std::string> NodeStageKeys(const LogicalPlan& node) {
               "gatherSmallSide", "copartitionJoin", "joinResidual",
               "joinRestore"};
     case PlanKind::kSort:
+      // "sortPartial" also matches the columnar top-k's fused map task,
+      // "sortPartial:vecScan:<table>", which scans, projects and sorts.
       return {"sortPartial", "sortGather", "sortFinal"};
     case PlanKind::kLimit:
       return {"limit"};

@@ -216,10 +216,10 @@ Value EvalBuiltinFunction(const std::string& name,
 
 }  // namespace
 
-bool LikeMatch(const std::string& text, const std::string& pattern) {
+bool LikeMatch(std::string_view text, std::string_view pattern) {
   // Iterative wildcard match: % = any sequence, _ = any single char.
   size_t t = 0, p = 0;
-  size_t star_p = std::string::npos, star_t = 0;
+  size_t star_p = std::string_view::npos, star_t = 0;
   while (t < text.size()) {
     if (p < pattern.size() && (pattern[p] == '_' || pattern[p] == text[t])) {
       ++t;
@@ -227,7 +227,7 @@ bool LikeMatch(const std::string& text, const std::string& pattern) {
     } else if (p < pattern.size() && pattern[p] == '%') {
       star_p = p++;
       star_t = t;
-    } else if (star_p != std::string::npos) {
+    } else if (star_p != std::string_view::npos) {
       p = star_p + 1;
       t = ++star_t;
     } else {

@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -42,7 +43,7 @@ Value EvalExpr(const Expr& expr, const Row& row, const UdfRegistry* udfs);
 bool EvalPredicate(const Expr& expr, const Row& row, const UdfRegistry* udfs);
 
 /// SQL LIKE with % and _ wildcards.
-bool LikeMatch(const std::string& text, const std::string& pattern);
+bool LikeMatch(std::string_view text, std::string_view pattern);
 
 /// Evaluates a builtin scalar function by (upper-case) name. Unknown names
 /// yield NULL; the analyzer guarantees only known names reach execution.

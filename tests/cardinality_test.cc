@@ -117,5 +117,44 @@ TEST(SplitHalvesTest, MatchesSetBasedCounts) {
   }
 }
 
+TEST(SplitHalvesTest, EdgeCases) {
+  Random rng(11);
+  std::vector<std::vector<uint64_t>> cases = {
+      {},                                   // n = 0
+      {UINT64_MAX},                         // n = 1: the lone hash is second
+      {0, 0, 0},                            // odd n, all equal, hash 0
+      {0, UINT64_MAX, 0, UINT64_MAX, 1},    // the extreme hashes, both halves
+      {UINT64_MAX, 0, 7, 0, UINT64_MAX},    // odd n, extremes cross halves
+  };
+  std::vector<uint64_t> all_equal(1001, 0x9e3779b97f4a7c15ULL);
+  cases.push_back(all_equal);
+  // Hashes differing only in their high or only in their low bits, and a
+  // sample large enough to grow the table many times.
+  std::vector<uint64_t> high_bits, low_bits, large;
+  for (uint64_t i = 0; i < 257; ++i) {
+    high_bits.push_back(i << 56);
+    low_bits.push_back(i % 97);
+  }
+  for (int i = 0; i < 100001; ++i) large.push_back(rng.Uniform(60000));
+  for (auto* c : {&high_bits, &low_bits, &large}) cases.push_back(*c);
+  for (const std::vector<uint64_t>& hashes : cases) {
+    SampleCardinality got;
+    CountSplitHalves(hashes, &got);
+    const SampleCardinality want = SplitHalvesBySets(hashes);
+    EXPECT_EQ(got.d_first, want.d_first) << "n=" << hashes.size();
+    EXPECT_EQ(got.d_second, want.d_second) << "n=" << hashes.size();
+    EXPECT_EQ(got.overlap, want.overlap) << "n=" << hashes.size();
+  }
+  SampleCardinality one;
+  CountSplitHalves({UINT64_MAX}, &one);
+  EXPECT_EQ(one.d_first, 0.0);
+  EXPECT_EQ(one.d_second, 1.0);
+  SampleCardinality extremes;
+  CountSplitHalves({0, UINT64_MAX, 0, UINT64_MAX, 1}, &extremes);
+  EXPECT_EQ(extremes.d_first, 2.0);
+  EXPECT_EQ(extremes.d_second, 3.0);
+  EXPECT_EQ(extremes.overlap, 2.0);
+}
+
 }  // namespace
 }  // namespace shark

@@ -169,6 +169,31 @@ TEST_F(TraceTest, ExplainAnalyzeAttributesVectorizedAggregate) {
   EXPECT_EQ(text.find("other stages:"), std::string::npos) << text;
 }
 
+TEST_F(TraceTest, ExplainAnalyzeAttributesColumnarTopK) {
+  ASSERT_TRUE(session_->CacheTable("visits").ok());
+  QueryResult r = MustQuery(
+      "EXPLAIN ANALYZE SELECT sourceIP, adRevenue FROM visits "
+      "ORDER BY adRevenue DESC, sourceIP LIMIT 5");
+  std::string text;
+  for (const Row& row : r.rows) text += row.Get(0).str() + "\n";
+  // The fused scan/project/top-k map task renders under the Sort, and its
+  // label names the scanned table; the merge stage follows it.
+  const size_t sort = text.find("Sort");
+  const size_t map_stage =
+      text.find("[shuffleMap:sortPartial:vecScan:visits]");
+  const size_t final_stage = text.find("sortFinal");
+  const size_t scan = text.find("Scan visits");
+  ASSERT_NE(sort, std::string::npos) << text;
+  ASSERT_NE(map_stage, std::string::npos) << text;
+  ASSERT_NE(final_stage, std::string::npos) << text;
+  ASSERT_NE(scan, std::string::npos) << text;
+  EXPECT_LT(sort, map_stage) << text;
+  EXPECT_LT(map_stage, final_stage) << text;
+  EXPECT_LT(final_stage, scan) << text;
+  EXPECT_EQ(text.find("vecScanProject"), std::string::npos) << text;
+  EXPECT_EQ(text.find("other stages:"), std::string::npos) << text;
+}
+
 TEST_F(TraceTest, PlainExplainDoesNotExecute) {
   QueryResult r = MustQuery(std::string("EXPLAIN ") + kJoinAgg);
   ASSERT_EQ(r.schema.num_fields(), 1);

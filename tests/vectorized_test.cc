@@ -411,6 +411,82 @@ TEST(EvalBatchTest, UdfFallsBackPerRow) {
   }
 }
 
+// [NOT] LIKE over string views against the row path, on dictionary, plain
+// and nullable (generic) string chunks, with constant and per-row patterns.
+TEST(LikeKernelTest, MatchesRowPath) {
+  const Schema schema({{"t", TypeKind::kString}, {"p", TypeKind::kString}});
+  const std::vector<std::string> texts = {
+      "", "a", "abc", "abd", "a%c", "%", "_", "%x", "Mozilla/5.0",
+      "a-long-text-beyond-the-small-string-buffer-abc"};
+  const std::vector<std::string> patterns = {"%",   "",    "a%",  "%c",
+                                             "a_c", "_",   "%b%", "a%c",
+                                             "%%",  "Moz%"};
+  // dictionary: values repeat; plain: every text unique; generic: NULLs.
+  std::vector<Row> dict_rows, plain_rows, null_rows;
+  for (size_t i = 0; i < 200; ++i) {
+    dict_rows.push_back(Row({Value::String(texts[i % texts.size()]),
+                             Value::String(patterns[i % 3])}));
+    plain_rows.push_back(Row({Value::String(texts[i % texts.size()] +
+                                            std::to_string(i)),
+                              Value::String(patterns[i % patterns.size()] +
+                                            std::to_string(i % 7))}));
+    null_rows.push_back(
+        Row({i % 5 == 0 ? Value::Null()
+                        : Value::String(texts[(i / 3) % texts.size()]),
+             i % 7 == 0 ? Value::Null()
+                        : Value::String(patterns[i % patterns.size()])}));
+  }
+  const struct {
+    const std::vector<Row>* rows;
+    Encoding text;
+  } parts[] = {{&dict_rows, Encoding::kDictionary},
+               {&plain_rows, Encoding::kPlain},
+               {&null_rows, Encoding::kGeneric}};
+  const std::vector<std::string> exprs = {
+      "t LIKE 'a%'",  "t LIKE '%c'",   "t LIKE 'a_c'", "t LIKE '%'",
+      "t LIKE ''",    "t LIKE '_'",    "t LIKE '%%'",  "t NOT LIKE '%b%'",
+      "t LIKE p",     "t NOT LIKE p",  "'abc' LIKE p", "t LIKE NULL",
+      "NULL LIKE p",  "t NOT LIKE 'Moz%'"};
+  for (const auto& part : parts) {
+    BatchFixture fx = BatchOf(schema, *part.rows);
+    ASSERT_EQ(fx.part->column(0).encoding(), part.text);
+    for (const std::string& text : exprs) {
+      auto parsed = ParseExpression(text);
+      ASSERT_TRUE(parsed.ok()) << text;
+      std::function<void(Expr*)> bind = [&](Expr* e) {
+        if (e->kind == ExprKind::kColumnRef) {
+          e->kind = ExprKind::kSlot;
+          e->slot = e->name == "t" ? 0 : 1;
+          e->type = TypeKind::kString;
+        }
+        for (auto& ch : e->children) bind(ch.get());
+      };
+      bind(parsed->get());
+      ExprCompiler compiler(nullptr);
+      auto compiled = compiler.Compile(**parsed);
+      ASSERT_TRUE(compiled.ok()) << text;
+      const size_t window = 64;
+      for (size_t b = 0; b < fx.batch.num_rows; b += window) {
+        const size_t e = std::min(fx.batch.num_rows, b + window);
+        vec::ColumnVector out;
+        compiled->EvalBatch(fx.batch, b, e, &out);
+        // A typed BOOLEAN column, or all-NULL for a NULL operand.
+        EXPECT_TRUE(out.storage == vec::ColumnVector::Storage::kInt64 ||
+                    out.storage == vec::ColumnVector::Storage::kAllNull)
+            << text;
+        for (size_t i = b; i < e; ++i) {
+          const Row& row = (*part.rows)[i];
+          const Value want = compiled->Eval(row);
+          const Value got = out.ValueAt(i - b);
+          EXPECT_TRUE(want.is_null() ? got.is_null() : got == want)
+              << text << " row=" << row.ToString() << " want="
+              << want.ToString() << " got=" << got.ToString();
+        }
+      }
+    }
+  }
+}
+
 // End to end: the vectorized path must return the same rows AND charge the
 // same virtual time as the scalar path; only wall-clock may change.
 class VecSqlTest : public ::testing::Test {
@@ -551,6 +627,23 @@ TEST_F(VecSqlTest, ExpressionGroupKeyMatchesScalar) {
   const std::string q =
       "SELECT SUBSTR(name, 1, 2), SUM(y) FROM t GROUP BY SUBSTR(name, 1, 2)";
   ExpectIdentical(RunBoth(q), q, true);
+}
+
+TEST_F(VecSqlTest, OrderByLimitMatchesScalar) {
+  // The columnar top-k against the row path's project + sort: the same rows
+  // in the same order (ties on NaN, -0.0 and NULL keys broken on input
+  // order) and the same virtual time.
+  for (const std::string q :
+       {"SELECT x, y, name FROM t ORDER BY y DESC, x LIMIT 25",
+        "SELECT name, x * 2, y FROM t WHERE x > 100 ORDER BY name, y DESC "
+        "LIMIT 40",
+        "SELECT y, x FROM t ORDER BY y LIMIT 0",
+        "SELECT y, x FROM t WHERE x < 50 ORDER BY x DESC, y LIMIT 100000",
+        "SELECT x FROM t WHERE x > 100000 ORDER BY x LIMIT 5"}) {
+    RunPair p = RunBoth(q);
+    ExpectSameSequence(p, q);
+    ExpectIdentical(p, q, true);
+  }
 }
 
 TEST_F(VecSqlTest, UncachedTableFallsBackToScalar) {
