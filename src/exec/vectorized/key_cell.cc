@@ -80,30 +80,6 @@ bool KeyCell::operator==(const KeyCell& other) const {
   }
 }
 
-int KeyCell::Compare(const KeyCell& other) const {
-  const bool a_null = kind == TypeKind::kNull;
-  const bool b_null = other.kind == TypeKind::kNull;
-  if (a_null || b_null) return a_null == b_null ? 0 : (a_null ? -1 : 1);
-  const bool a_str = kind == TypeKind::kString;
-  const bool b_str = other.kind == TypeKind::kString;
-  if (a_str || b_str) {
-    if (a_str && b_str) return str.compare(other.str);
-    return a_str ? 1 : -1;  // numerics sort before strings
-  }
-  const bool a_dbl = kind == TypeKind::kDouble;
-  const bool b_dbl = other.kind == TypeKind::kDouble;
-  const auto a_int = static_cast<int64_t>(bits);
-  const auto b_int = static_cast<int64_t>(other.bits);
-  if (!a_dbl && !b_dbl) return a_int < b_int ? -1 : (a_int > b_int ? 1 : 0);
-  const double a = std::bit_cast<double>(bits);
-  const double b = std::bit_cast<double>(other.bits);
-  const bool a_nan = a_dbl && std::isnan(a);
-  const bool b_nan = b_dbl && std::isnan(b);
-  if (a_nan || b_nan) return a_nan == b_nan ? 0 : (a_nan ? 1 : -1);
-  if (a_dbl && b_dbl) return a < b ? -1 : (a > b ? 1 : 0);
-  return a_dbl ? -CompareInt64Double(b_int, a) : CompareInt64Double(a_int, b);
-}
-
 Value KeyCell::ToValue() const {
   switch (kind) {
     case TypeKind::kNull:

@@ -26,10 +26,6 @@ struct KeyCell {
   /// Value::operator== (NULL == NULL, NaN == NaN, exact BIGINT/DOUBLE
   /// cross-type equality).
   bool operator==(const KeyCell& other) const;
-  /// Value::Compare's total order: NULL first, numerics (exact
-  /// BIGINT-vs-DOUBLE, NaN after every other number) before strings. Only
-  /// the sign of the result is meaningful.
-  int Compare(const KeyCell& other) const;
   Value ToValue() const;
 };
 

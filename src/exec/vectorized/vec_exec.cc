@@ -9,7 +9,6 @@
 #include "exec/vectorized/group_table.h"
 #include "exec/vectorized/join_table.h"
 #include "exec/vectorized/kernels.h"
-#include "exec/vectorized/key_cell.h"
 #include "rdd/pair_rdd.h"
 #include "sql/aggregates.h"
 
@@ -189,10 +188,6 @@ class TopKHeap {
     e.row = make_row();
     heap_.push_back(std::move(e));
     std::push_heap(heap_.begin(), heap_.end(), Before{asc_});
-    if (heap_.size() == limit_) {
-      front_.clear();
-      for (const Value& v : heap_.front().keys) front_.push_back(KeyCell::Of(v));
-    }
   }
 
   /// The kept rows in order; leaves the heap empty.
@@ -208,8 +203,9 @@ class TopKHeap {
  private:
   /// Whether window row i sorts strictly before the heap's front.
   bool BeforeFront(const std::vector<ColumnVector>& keys, size_t i) const {
+    const std::vector<Value>& front = heap_.front().keys;
     for (size_t k = 0; k < keys.size(); ++k) {
-      const int c = KeyCell::Of(keys[k], i).Compare(front_[k]);
+      const int c = keys[k].ValueAt(i).Compare(front[k]);
       if (c != 0) return (*asc_)[k] ? c < 0 : c > 0;
     }
     return false;
@@ -218,7 +214,6 @@ class TopKHeap {
   const std::vector<bool>* asc_;
   size_t limit_;
   std::vector<Entry> heap_;
-  std::vector<KeyCell> front_;  // heap_.front()'s keys while the heap is full
 };
 
 }  // namespace

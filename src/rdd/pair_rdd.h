@@ -220,7 +220,8 @@ class CombiningShuffleDep final : public ShuffleDependency {
 
 /// Reduce partition -> set of fine-grained buckets it is responsible for.
 /// Identity (one bucket per reducer) unless PDE coalesced buckets via
-/// bin-packing (§3.1.2).
+/// bin-packing (§3.1.2). Each list is strictly ascending (the order
+/// FetchShuffleBuckets requires).
 using BucketAssignment = std::vector<std::vector<int>>;
 
 inline BucketAssignment IdentityAssignment(int num_buckets) {

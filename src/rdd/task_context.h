@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/random.h"
 #include "common/trace.h"
 #include "mem/memory_manager.h"
@@ -268,27 +269,25 @@ class TaskContext {
   /// shuffle, charging transfer costs (memory/disk/network according to the
   /// engine profile and output locality; locality-dependent parts are
   /// deferred). Missing map outputs are recorded in missing_inputs().
+  /// `buckets` must be strictly ascending, as every BucketAssignment is.
   std::vector<BlockData> FetchShuffleBuckets(int shuffle_id,
                                              const std::vector<int>& buckets,
                                              double* effective_records = nullptr) {
     std::vector<BlockData> out;
-    // Strictly ascending buckets (a coalesced range is) become a bitmap of
-    // words [lo_word, lo_word + owned.size()); each map output is then
-    // walked over its non-empty buckets only, in ascending order: the order
-    // of `buckets`, so every sum below adds the same terms in the same order
-    // (an empty bucket adds 0).
+    // `buckets` becomes a bitmap of words [lo_word, lo_word + owned.size());
+    // each map output is then walked over its non-empty buckets only, in
+    // ascending order: the order of `buckets`, so every sum below adds the
+    // same terms in the same order (an empty bucket adds 0).
     std::vector<uint64_t> owned;
     size_t lo_word = 0;
-    const bool ascending =
-        !buckets.empty() &&
-        std::adjacent_find(buckets.begin(), buckets.end(),
-                           [](int a, int b) { return a >= b; }) ==
-            buckets.end();
-    if (ascending) {
+    if (!buckets.empty()) {
+      SHARK_CHECK(buckets.front() >= 0 && buckets.front() <= buckets.back());
       lo_word = static_cast<size_t>(buckets.front()) / 64;
       owned.assign(static_cast<size_t>(buckets.back()) / 64 + 1 - lo_word, 0);
-      for (int b : buckets) {
-        owned[static_cast<size_t>(b) / 64 - lo_word] |= uint64_t{1} << (b % 64);
+      for (size_t i = 0; i < buckets.size(); ++i) {
+        SHARK_CHECK(i == 0 || buckets[i - 1] < buckets[i]);
+        const auto b = static_cast<size_t>(buckets[i]);
+        owned[b / 64 - lo_word] |= uint64_t{1} << (b % 64);
       }
     }
     int num_maps = shuffle_manager_->NumMapPartitions(shuffle_id);
@@ -301,29 +300,23 @@ class TaskContext {
         continue;
       }
       uint64_t bytes = 0;
-      auto take = [&](size_t bi) {
-        if (mo->buckets[bi] != nullptr && mo->bucket_records[bi] > 0) {
-          out.push_back(mo->buckets[bi]);
-        }
-        bytes += mo->bucket_bytes[bi];
-        if (effective_records != nullptr) {
-          double cost_scale = mo->bucket_cost_scale.empty()
-                                  ? 1.0
-                                  : mo->bucket_cost_scale[bi];
-          *effective_records +=
-              static_cast<double>(mo->bucket_records[bi]) * cost_scale;
-        }
-      };
-      if (ascending) {
-        const size_t end = std::min(lo_word + owned.size(), mo->nonempty.size());
-        for (size_t w = lo_word; w < end; ++w) {
-          for (uint64_t bits = mo->nonempty[w] & owned[w - lo_word]; bits != 0;
-               bits &= bits - 1) {
-            take(w * 64 + static_cast<size_t>(std::countr_zero(bits)));
+      const size_t end = std::min(lo_word + owned.size(), mo->nonempty.size());
+      for (size_t w = lo_word; w < end; ++w) {
+        for (uint64_t bits = mo->nonempty[w] & owned[w - lo_word]; bits != 0;
+             bits &= bits - 1) {
+          const size_t bi = w * 64 + static_cast<size_t>(std::countr_zero(bits));
+          if (mo->buckets[bi] != nullptr && mo->bucket_records[bi] > 0) {
+            out.push_back(mo->buckets[bi]);
+          }
+          bytes += mo->bucket_bytes[bi];
+          if (effective_records != nullptr) {
+            double cost_scale = mo->bucket_cost_scale.empty()
+                                    ? 1.0
+                                    : mo->bucket_cost_scale[bi];
+            *effective_records +=
+                static_cast<double>(mo->bucket_records[bi]) * cost_scale;
           }
         }
-      } else {
-        for (int b : buckets) take(static_cast<size_t>(b));
       }
       if (bytes == 0) continue;
       // Per-output serving mode: §5's memory-based-shuffle knob resolved at

@@ -1288,6 +1288,15 @@ std::vector<std::string> NodeStageKeys(const LogicalPlan& node) {
   return {};
 }
 
+/// Substrings of a fused map task's label when the task also ran this
+/// operator, though the stage belongs to the operator it ends in: a Scan
+/// runs inside "sortPartial:vecScan:<table>" (columnar top-k) and
+/// "aggKey:vecScan:<table>" (vectorized group-by).
+std::vector<std::string> NodeFusedKeys(const LogicalPlan& node) {
+  if (node.kind == PlanKind::kScan) return {"vecScan:" + node.table};
+  return {};
+}
+
 std::string StageAnnotation(const StageTrace& st, int indent,
                             const QueryProfile& profile) {
   std::string pad(static_cast<size_t>(indent) * 2, ' ');
@@ -1341,12 +1350,20 @@ std::string StageAnnotation(const StageTrace& st, int indent,
   return out;
 }
 
-void AppendAnalyzed(
-    const LogicalPlan& node, int indent,
-    const std::map<const LogicalPlan*, std::vector<const StageTrace*>>& by_node,
-    const QueryProfile& profile, std::string* out) {
+using StagesByNode =
+    std::map<const LogicalPlan*, std::vector<const StageTrace*>>;
+
+void AppendAnalyzed(const LogicalPlan& node, int indent,
+                    const StagesByNode& by_node, const StagesByNode& fused,
+                    const QueryProfile& profile, std::string* out) {
   std::string pad(static_cast<size_t>(indent) * 2, ' ');
   *out += pad + node.NodeString() + "\n";
+  if (auto f = fused.find(&node); f != fused.end()) {
+    for (const StageTrace* st : f->second) {
+      *out += pad + "  -> fused into stage " + std::to_string(st->id) + " [" +
+              st->label + "]\n";
+    }
+  }
   auto it = by_node.find(&node);
   if (it != by_node.end()) {
     // Estimated vs observed cardinality: the last stage matched to this
@@ -1364,7 +1381,7 @@ void AppendAnalyzed(
     }
   }
   for (const auto& c : node.children) {
-    AppendAnalyzed(*c, indent + 1, by_node, profile, out);
+    AppendAnalyzed(*c, indent + 1, by_node, fused, profile, out);
   }
 }
 
@@ -1375,8 +1392,10 @@ std::string RenderAnalyzedPlan(const LogicalPlan& plan,
   std::vector<const LogicalPlan*> nodes;
   CollectPostOrder(&plan, &nodes);
   // Assign each stage to the deepest operator whose label keys match; a
-  // "shuffleMap:x" stage executed operator x's map side.
-  std::map<const LogicalPlan*, std::vector<const StageTrace*>> by_node;
+  // "shuffleMap:x" stage executed operator x's map side. Other operators
+  // the stage's fused task ran point to it.
+  StagesByNode by_node;
+  StagesByNode fused;
   std::vector<const StageTrace*> unmatched;
   for (const StageTrace& st : profile.stages) {
     std::string label = st.label;
@@ -1394,14 +1413,22 @@ std::string RenderAnalyzedPlan(const LogicalPlan& plan,
       }
       if (target != nullptr) break;
     }
-    if (target != nullptr) {
-      by_node[target].push_back(&st);
-    } else {
+    if (target == nullptr) {
       unmatched.push_back(&st);
+      continue;
+    }
+    by_node[target].push_back(&st);
+    for (const LogicalPlan* n : nodes) {
+      for (const std::string& key : NodeFusedKeys(*n)) {
+        if (n != target && label.find(key) != std::string::npos) {
+          fused[n].push_back(&st);
+          break;
+        }
+      }
     }
   }
   std::string out;
-  AppendAnalyzed(plan, 0, by_node, profile, &out);
+  AppendAnalyzed(plan, 0, by_node, fused, profile, &out);
   if (!unmatched.empty()) {
     out += "other stages:\n";
     for (const StageTrace* st : unmatched) {

@@ -177,7 +177,8 @@ TEST_F(TraceTest, ExplainAnalyzeAttributesColumnarTopK) {
   std::string text;
   for (const Row& row : r.rows) text += row.Get(0).str() + "\n";
   // The fused scan/project/top-k map task renders under the Sort, and its
-  // label names the scanned table; the merge stage follows it.
+  // label names the scanned table; the merge stage follows it. The Scan
+  // points to the fused stage.
   const size_t sort = text.find("Sort");
   const size_t map_stage =
       text.find("[shuffleMap:sortPartial:vecScan:visits]");
@@ -190,6 +191,11 @@ TEST_F(TraceTest, ExplainAnalyzeAttributesColumnarTopK) {
   EXPECT_LT(sort, map_stage) << text;
   EXPECT_LT(map_stage, final_stage) << text;
   EXPECT_LT(final_stage, scan) << text;
+  const size_t scan_ref = text.find("-> fused into stage", scan);
+  ASSERT_NE(scan_ref, std::string::npos) << text;
+  EXPECT_EQ(text.find("[shuffleMap:sortPartial:vecScan:visits]", scan),
+            text.find('[', scan_ref))
+      << text;
   EXPECT_EQ(text.find("vecScanProject"), std::string::npos) << text;
   EXPECT_EQ(text.find("other stages:"), std::string::npos) << text;
 }
