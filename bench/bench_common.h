@@ -336,10 +336,10 @@ inline void EmitMetricsJson(const std::string& bench, const std::string& label,
     w.Key("dur_skew").FixedDouble(r.dur_skew, 3);
     w.Key("straggler_partition").Int(r.straggler_partition);
     w.Key("straggler_node").Int(r.straggler_node);
-    if (r.buckets > 0) {
-      w.Key("buckets").Int(r.buckets);
-      w.Key("bucket_skew").FixedDouble(r.bucket_skew, 3);
-      w.Key("culprit_bucket").Int(r.culprit_bucket);
+    if (r.shuffle.buckets > 0) {
+      w.Key("buckets").Int(r.shuffle.buckets);
+      w.Key("bucket_skew").FixedDouble(r.shuffle.skew, 3);
+      w.Key("culprit_bucket").Int(r.shuffle.culprit);
     }
     w.EndObject();
   }

@@ -78,10 +78,10 @@ SpillStats CollectSpills(const QueryResult& result) {
   SpillStats s;
   if (result.profile == nullptr) return s;
   for (const StageTrace& st : result.profile->stages) {
-    s.spill_bytes += st.spill_bytes();
-    s.spill_partitions += st.spill_partitions();
-    s.spilled_tasks += st.spilled_tasks();
-    s.disk_served_outputs += st.disk_served_outputs();
+    s.spill_bytes += st.spill_bytes;
+    s.spill_partitions += st.spill_partitions;
+    s.spilled_tasks += st.spilled_tasks;
+    s.disk_served_outputs += st.disk_served_outputs;
   }
   return s;
 }

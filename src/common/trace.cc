@@ -24,25 +24,6 @@ std::string Sec(double v) { return Fmt("%.6f", v); }
 /// The shared escaper (common/json_writer.h), kept under the old local name.
 std::string JsonEscape(const std::string& s) { return JsonWriter::Escape(s); }
 
-/// Field-wise sum; kept local so shark_common stays link-self-contained
-/// (TaskWork::Add lives in shark_sim).
-void AddWork(TaskWork* acc, const TaskWork& w) {
-  acc->disk_read_bytes += w.disk_read_bytes;
-  acc->disk_seeks += w.disk_seeks;
-  acc->net_read_bytes += w.net_read_bytes;
-  acc->mem_read_bytes += w.mem_read_bytes;
-  acc->text_deser_bytes += w.text_deser_bytes;
-  acc->binary_deser_bytes += w.binary_deser_bytes;
-  acc->ser_bytes += w.ser_bytes;
-  acc->rows_processed += w.rows_processed;
-  acc->hash_records += w.hash_records;
-  acc->sort_records += w.sort_records;
-  acc->disk_write_bytes += w.disk_write_bytes;
-  acc->dfs_write_bytes += w.dfs_write_bytes;
-  acc->flops += w.flops;
-  acc->cpu_seconds += w.cpu_seconds;
-}
-
 }  // namespace
 
 std::string WorkSummary(const TaskWork& w) {
@@ -100,19 +81,22 @@ const char* TaskEndName(TaskEnd end) {
   return "?";
 }
 
-ShuffleSizeSummary SummarizeBucketBytes(const std::vector<uint64_t>& bytes) {
-  ShuffleSizeSummary s;
+BucketSummary SummarizeBuckets(const std::vector<uint64_t>& bytes) {
+  BucketSummary s;
   s.buckets = static_cast<int>(bytes.size());
   if (bytes.empty()) return s;
   std::vector<uint64_t> sorted = bytes;
   std::sort(sorted.begin(), sorted.end());
   s.min_bytes = sorted.front();
+  s.p50_bytes = SortedQuantile(sorted, 0.5);
+  s.p95_bytes = SortedQuantile(sorted, 0.95);
   s.max_bytes = sorted.back();
-  s.median_bytes = sorted[sorted.size() / 2];
   for (uint64_t b : sorted) s.total_bytes += b;
   double mean =
       static_cast<double>(s.total_bytes) / static_cast<double>(sorted.size());
   s.skew = mean > 0.0 ? static_cast<double>(s.max_bytes) / mean : 0.0;
+  s.culprit = static_cast<int>(std::max_element(bytes.begin(), bytes.end()) -
+                               bytes.begin());
   return s;
 }
 
@@ -121,80 +105,6 @@ void CacheCounters::Add(const CacheCounters& other) {
   hit_bytes += other.hit_bytes;
   miss_blocks += other.miss_blocks;
   miss_bytes += other.miss_bytes;
-}
-
-int StageTrace::committed_tasks() const {
-  int n = 0;
-  for (const TaskTrace& t : tasks) n += t.end == TaskEnd::kCommitted ? 1 : 0;
-  return n;
-}
-
-int StageTrace::speculative_tasks() const {
-  int n = 0;
-  for (const TaskTrace& t : tasks) n += t.speculative ? 1 : 0;
-  return n;
-}
-
-int StageTrace::failed_tasks() const {
-  int n = 0;
-  for (const TaskTrace& t : tasks) {
-    if (t.end == TaskEnd::kNodeDeath || t.end == TaskEnd::kMissingInput) ++n;
-  }
-  return n;
-}
-
-uint64_t StageTrace::rows_out() const {
-  uint64_t n = 0;
-  for (const TaskTrace& t : tasks) {
-    if (t.end == TaskEnd::kCommitted) n += t.rows_out;
-  }
-  return n;
-}
-
-uint64_t StageTrace::bytes_out() const {
-  uint64_t n = 0;
-  for (const TaskTrace& t : tasks) {
-    if (t.end == TaskEnd::kCommitted) n += t.bytes_out;
-  }
-  return n;
-}
-
-TaskWork StageTrace::total_work() const {
-  TaskWork w;
-  for (const TaskTrace& t : tasks) AddWork(&w, t.work);
-  return w;
-}
-
-int StageTrace::spilled_tasks() const {
-  int n = 0;
-  for (const TaskTrace& t : tasks) {
-    if (t.end == TaskEnd::kCommitted && t.spill_bytes > 0) ++n;
-  }
-  return n;
-}
-
-uint64_t StageTrace::spill_bytes() const {
-  uint64_t n = 0;
-  for (const TaskTrace& t : tasks) {
-    if (t.end == TaskEnd::kCommitted) n += t.spill_bytes;
-  }
-  return n;
-}
-
-uint64_t StageTrace::spill_partitions() const {
-  uint64_t n = 0;
-  for (const TaskTrace& t : tasks) {
-    if (t.end == TaskEnd::kCommitted) n += t.spill_partitions;
-  }
-  return n;
-}
-
-int StageTrace::disk_served_outputs() const {
-  int n = 0;
-  for (const TaskTrace& t : tasks) {
-    if (t.end == TaskEnd::kCommitted && t.output_on_disk) ++n;
-  }
-  return n;
 }
 
 const StageTrace* QueryProfile::FindStage(const std::string& label_part) const {
@@ -225,15 +135,15 @@ std::string QueryProfile::ToString() const {
     if (s.is_map_stage) out += " shuffle=" + std::to_string(s.shuffle_id);
     out += " " + Sec(s.start_time) + "s .. " + Sec(s.end_time) + "s\n";
     out += "    tasks=" + std::to_string(s.tasks.size()) +
-           " committed=" + std::to_string(s.committed_tasks()) +
-           " speculative=" + std::to_string(s.speculative_tasks()) +
-           " failed=" + std::to_string(s.failed_tasks()) +
-           " rows_out=" + std::to_string(s.rows_out()) +
-           " bytes_out=" + FormatBytes(s.bytes_out()) + "\n";
+           " committed=" + std::to_string(s.committed()) +
+           " speculative=" + std::to_string(s.speculative) +
+           " failed=" + std::to_string(s.failed()) +
+           " rows_out=" + std::to_string(s.rows_out) +
+           " bytes_out=" + FormatBytes(s.bytes_out) + "\n";
     if (s.shuffle.buckets > 0) {
       out += "    shuffle buckets=" + std::to_string(s.shuffle.buckets) +
              " min=" + FormatBytes(s.shuffle.min_bytes) +
-             " median=" + FormatBytes(s.shuffle.median_bytes) +
+             " median=" + FormatBytes(s.shuffle.p50_bytes) +
              " max=" + FormatBytes(s.shuffle.max_bytes) +
              " total=" + FormatBytes(s.shuffle.total_bytes) + " skew=" +
              Fmt("%.2f", s.shuffle.skew) + "\n";
@@ -247,19 +157,19 @@ std::string QueryProfile::ToString() const {
              FormatBytes(c.miss_bytes) + "/" + std::to_string(c.miss_blocks) +
              " blocks\n";
     }
-    out += "    work: " + WorkSummary(s.total_work()) + "\n";
-    if (s.spilled_tasks() > 0 || s.disk_served_outputs() > 0) {
+    out += "    work: " + WorkSummary(s.work) + "\n";
+    if (s.spilled_tasks > 0 || s.disk_served_outputs > 0) {
       out += "    memory:";
-      if (s.spilled_tasks() > 0) {
-        out += " spilled=" + FormatBytes(s.spill_bytes()) + " in " +
-               std::to_string(s.spill_partitions()) + " partitions across " +
-               std::to_string(s.spilled_tasks()) + " tasks";
+      if (s.spilled_tasks > 0) {
+        out += " spilled=" + FormatBytes(s.spill_bytes) + " in " +
+               std::to_string(s.spill_partitions) + " partitions across " +
+               std::to_string(s.spilled_tasks) + " tasks";
       }
-      if (s.disk_served_outputs() > 0) {
-        if (s.spilled_tasks() > 0) out += ",";
+      if (s.disk_served_outputs > 0) {
+        if (s.spilled_tasks > 0) out += ",";
         out += " disk-served map outputs=" +
-               std::to_string(s.disk_served_outputs()) + "/" +
-               std::to_string(s.committed_tasks());
+               std::to_string(s.disk_served_outputs) + "/" +
+               std::to_string(s.committed());
       }
       out += "\n";
     }
@@ -329,7 +239,7 @@ std::string QueryProfile::ToChromeTrace() const {
          us(s.end_time - s.start_time) + ",\"pid\":0,\"tid\":" +
          std::to_string(depth[s.id]) + ",\"args\":{\"stage\":" +
          std::to_string(s.id) + ",\"tasks\":" + std::to_string(s.tasks.size()) +
-         ",\"rows_out\":" + std::to_string(s.rows_out()) +
+         ",\"rows_out\":" + std::to_string(s.rows_out) +
          (s.is_map_stage ? ",\"shuffle\":" + std::to_string(s.shuffle_id) : "") +
          "}}");
     for (const TaskTrace& t : s.tasks) {
@@ -373,7 +283,6 @@ bool TraceCollector::BeginQuery(double now) {
   profile_->query_id = query_id_;
   profile_->start_time = now;
   open_.clear();
-  last_ended_ = -1;
   return true;
 }
 
@@ -388,33 +297,27 @@ std::shared_ptr<QueryProfile> TraceCollector::EndQuery(double now) {
   std::shared_ptr<QueryProfile> out = std::move(profile_);
   profile_ = nullptr;
   open_.clear();
-  last_ended_ = -1;
   return out;
 }
 
-int TraceCollector::BeginStage(const std::string& label, bool is_map_stage,
-                               int shuffle_id, double now) {
+int TraceCollector::BeginStage(const StageRecord& stage) {
   if (profile_ == nullptr) return -1;
   StageTrace s;
+  static_cast<StageRecord&>(s) = stage;
   s.id = static_cast<int>(profile_->stages.size());
   s.parent = open_.empty() ? -1 : open_.back();
-  s.label = label;
-  s.is_map_stage = is_map_stage;
-  s.shuffle_id = shuffle_id;
-  s.start_time = now;
-  s.end_time = now;
   profile_->stages.push_back(std::move(s));
   open_.push_back(profile_->stages.back().id);
   return profile_->stages.back().id;
 }
 
-void TraceCollector::EndStage(int stage_id, double now) {
-  if (profile_ == nullptr || stage_id < 0) return;
-  profile_->stages[static_cast<size_t>(stage_id)].end_time = now;
+void TraceCollector::EndStage(int stage_id, const StageRecord& stage) {
+  StageTrace* s = this->stage(stage_id);
+  if (s == nullptr) return;
+  static_cast<StageRecord&>(*s) = stage;
   // Recovery sub-stages close strictly inside their parent, so the open
   // stage being ended is always the innermost one.
   if (!open_.empty() && open_.back() == stage_id) open_.pop_back();
-  last_ended_ = stage_id;
 }
 
 StageTrace* TraceCollector::stage(int stage_id) {

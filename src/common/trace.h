@@ -50,30 +50,68 @@ struct TaskTrace {
   TaskLocality locality = TaskLocality::kAny;
   TaskEnd end = TaskEnd::kCommitted;
   uint64_t rows_out = 0;
-  uint64_t bytes_out = 0;
   TaskWork work;  // placement-resolved counters charged at launch
-  /// Operator working-set bytes this attempt spilled to simulated local
-  /// disk (external hash aggregation / sort-merge), and how many grace-hash
-  /// partitions or sorted runs they were split into.
-  uint64_t spill_bytes = 0;
-  uint32_t spill_partitions = 0;
-  /// Map stages: this attempt's output is served from local disk (global
-  /// Hadoop knob, or flipped per-node under memory pressure).
-  bool output_on_disk = false;
 };
 
-/// Summary of a shuffle's per-bucket byte sizes exactly as the master saw
-/// them through the 1-byte log encoding — the PDE skew signal (§3.1).
-struct ShuffleSizeSummary {
-  int buckets = 0;
+/// A map stage's per-bucket byte sizes as the master saw them through the
+/// 1-byte log encoding — the PDE skew signal (§3.1).
+struct BucketSummary {
+  int buckets = 0;  // 0 for result stages
   uint64_t min_bytes = 0;
-  uint64_t median_bytes = 0;
+  uint64_t p50_bytes = 0;
+  uint64_t p95_bytes = 0;
   uint64_t max_bytes = 0;
   uint64_t total_bytes = 0;
   double skew = 0.0;  // max / mean; 1.0 = perfectly even, 0 = empty
+  int culprit = -1;   // index of the fattest bucket
 };
 
-ShuffleSizeSummary SummarizeBucketBytes(const std::vector<uint64_t>& bytes);
+BucketSummary SummarizeBuckets(const std::vector<uint64_t>& bytes);
+
+/// Nearest-rank quantile of an ascending vector; T{} when empty.
+template <typename T>
+T SortedQuantile(const std::vector<T>& sorted, double q) {
+  if (sorted.empty()) return T{};
+  double rank = q * static_cast<double>(sorted.size() - 1);
+  size_t idx = static_cast<size_t>(rank + 0.5);
+  if (idx >= sorted.size()) idx = sorted.size() - 1;
+  return sorted[idx];
+}
+
+/// One committed task attempt.
+struct StageCommit {
+  double duration = 0.0;  // run start to finish, virtual seconds
+  int partition = 0;
+  int node = -1;
+};
+
+/// What the master collects about one scheduler task set. The scheduler
+/// fills one for every set, traced or not; the skew report, JobMetrics, the
+/// speculation median and the query profile all read it.
+struct StageRecord {
+  std::string label;
+  bool is_map_stage = false;
+  int shuffle_id = -1;  // map stages only
+  double start_time = 0.0;
+  double end_time = 0.0;  // latest commit (start_time before the first)
+  std::vector<StageCommit> commits{};  // every commit, in commit order
+  int launched = 0;        // attempts, retries and duplicates included
+  int speculative = 0;     // speculative duplicate launches
+  int node_deaths = 0;     // attempts aborted when their node died
+  int missing_inputs = 0;  // attempts re-run after lineage recovery
+  // Committed attempts only.
+  uint64_t rows_out = 0;
+  uint64_t bytes_out = 0;
+  uint64_t spill_bytes = 0;
+  uint64_t spill_partitions = 0;
+  int spilled_tasks = 0;
+  int disk_served_outputs = 0;  // map outputs served from local disk
+  TaskWork work{};  // every launched attempt (what the job was charged)
+  BucketSummary shuffle{};  // map stages, computed when the set finalizes
+
+  int committed() const { return static_cast<int>(commits.size()); }
+  int failed() const { return node_deaths + missing_inputs; }
+};
 
 /// Block-cache traffic of one stage's committed tasks, per RDD.
 struct CacheCounters {
@@ -84,31 +122,16 @@ struct CacheCounters {
   void Add(const CacheCounters& other);
 };
 
-/// One scheduler task set: a map stage, a result stage, or a lineage
-/// recovery sub-stage (nested under the stage whose task hit the loss).
-struct StageTrace {
+/// One scheduler task set as the query profile shows it: a map stage, a
+/// result stage, or a lineage recovery sub-stage (nested under the stage
+/// whose task hit the loss). The record is the stage's; tracing adds the
+/// nesting, every attempt, the event lines and per-RDD cache traffic.
+struct StageTrace : StageRecord {
   int id = -1;
   int parent = -1;  // enclosing stage for recovery sub-stages, -1 = top level
-  std::string label;
-  bool is_map_stage = false;
-  int shuffle_id = -1;  // map stages only
-  double start_time = 0.0;
-  double end_time = 0.0;
   std::vector<TaskTrace> tasks;  // every attempt, in launch order
   std::vector<std::string> events;  // deaths, speculation, recovery
-  ShuffleSizeSummary shuffle;  // map stages: observed bucket distribution
   std::map<int, CacheCounters> cache_by_rdd;
-
-  int committed_tasks() const;
-  int speculative_tasks() const;
-  int failed_tasks() const;  // non-committed, non-superseded attempts
-  uint64_t rows_out() const;   // committed attempts only
-  uint64_t bytes_out() const;  // committed attempts only
-  TaskWork total_work() const;  // all attempts (what the job was charged)
-  int spilled_tasks() const;          // committed attempts that spilled
-  uint64_t spill_bytes() const;       // committed attempts only
-  uint64_t spill_partitions() const;  // committed attempts only
-  int disk_served_outputs() const;    // committed map outputs on disk
 };
 
 /// The per-query observability tree: every stage and task attempt the
@@ -172,23 +195,18 @@ class TraceCollector {
   void set_query_id(const std::string& id);
   const std::string& query_id() const { return query_id_; }
 
-  /// Opens a stage (nested under the innermost open stage, if any) and
-  /// returns its id. Requires active().
-  int BeginStage(const std::string& label, bool is_map_stage, int shuffle_id,
-                 double now);
-  void EndStage(int stage_id, double now);
+  /// Opens a stage with `stage`'s identity and start (nested under the
+  /// innermost open stage, if any) and returns its id. Requires active().
+  int BeginStage(const StageRecord& stage);
+  /// Closes a stage, copying in its final record.
+  void EndStage(int stage_id, const StageRecord& stage);
 
   /// Stage by id; invalidated by the next BeginStage (the vector may grow).
   StageTrace* stage(int stage_id);
 
-  /// Id of the most recently ended stage, -1 if none; lets a caller annotate
-  /// a stage right after the scheduler finished it.
-  int last_ended_stage() const { return last_ended_; }
-
  private:
   std::shared_ptr<QueryProfile> profile_;
   std::vector<int> open_;  // stack of open stage ids
-  int last_ended_ = -1;
   std::string query_id_;
 };
 

@@ -31,6 +31,14 @@ thread_local JobState* g_current_job = nullptr;
 JobState* CurrentJobState() { return g_current_job; }
 void SetCurrentJobState(JobState* job) { g_current_job = job; }
 
+void JobMetrics::AddStage(const StageRecord& stage) {
+  tasks_launched += stage.launched;
+  tasks_failed += stage.node_deaths;
+  tasks_rerun_missing += stage.missing_inputs;
+  speculative_tasks += stage.speculative;
+  total_work.Add(stage.work);
+}
+
 /// One registered task set: everything ExecuteTaskSet used to keep on its
 /// stack, so several sets can be in flight in the shared event loop at once.
 /// Lives on the registering thread's stack (plain callers and nested
@@ -69,7 +77,6 @@ struct TaskSetState {
   DagScheduler::CommitFn commit;
   DagScheduler::LostOutputFn lost_outputs;
   JobMetrics* metrics = nullptr;
-  DagScheduler::StageInfo info;
   JobState* job = nullptr;
   TraceCollector* collector = nullptr;
 
@@ -81,17 +88,9 @@ struct TaskSetState {
   std::vector<char> has_duplicate;
   std::deque<int> pending;
   std::vector<Inflight> inflight;
-  std::vector<double> committed_durations;
-  // Parallel to committed_durations: partition and node of each commit, the
-  // raw material of the per-stage skew/straggler report.
-  std::vector<int> committed_partitions;
-  std::vector<int> committed_nodes;
   std::vector<double> queued_at;
-  int stage_speculative = 0;
-  int stage_failed = 0;
-  size_t committed = 0;
-  double stage_start = 0.0;
-  double stage_end = 0.0;
+  size_t committed = 0;  // tasks whose output currently stands
+  StageRecord rec;       // always filled; the trace copies it at the end
 
   // ---- profile recording ----
   bool tracing = false;
@@ -174,7 +173,7 @@ Result<std::vector<BlockData>> DagScheduler::RunJobOnPartitions(
   if (!partitions.empty()) {
     metrics.stages += 1;
     st = ExecuteTaskSet(task_ids, preferred, body, commit, lost, &metrics,
-                        StageInfo{rdd->label(), false, -1});
+                        StageRecord{.label = rdd->label()});
     if (!st.ok()) return st;
   }
 
@@ -269,30 +268,11 @@ Status DagScheduler::RunMapTasks(const std::shared_ptr<ShuffleDependency>& dep,
   };
 
   metrics->stages += 1;
-  SHARK_RETURN_NOT_OK(ExecuteTaskSet(
-      task_ids, preferred, body, commit, lost, metrics,
-      StageInfo{"shuffleMap:" + dep->parent()->label(), true, shuffle_id}));
-  // Annotate the finished map stage with the bucket-size distribution the
-  // master observed (post log-encoding) — the PDE skew signal. The stage
-  // landed in the owning job's collector (recovery runs on the driving
-  // thread, so the thread-local lookup alone is not enough).
-  TraceCollector& tc = CollectorForCurrentWork();
-  if (tc.active() && tc.last_ended_stage() >= 0) {
-    StageTrace* st = tc.stage(tc.last_ended_stage());
-    if (st != nullptr && st->shuffle_id == shuffle_id) {
-      st->shuffle = SummarizeBucketBytes(sm.Stats(shuffle_id).bucket_bytes);
-    }
-  }
-  // Same signal into the metrics layer's skew report for this stage. The
-  // last report is this stage's: a finalized set resumes its owner before
-  // the loop processes any further event, and nested recovery stages close
-  // before the outer set finalizes.
-  StageSkewReport* report = ctx_->metrics().last_stage_report();
-  if (report != nullptr &&
-      report->label == "shuffleMap:" + dep->parent()->label()) {
-    AnnotateBucketSkew(sm.Stats(shuffle_id).bucket_bytes, report);
-  }
-  return Status::OK();
+  return ExecuteTaskSet(task_ids, preferred, body, commit, lost, metrics,
+                        StageRecord{.label = "shuffleMap:" +
+                                             dep->parent()->label(),
+                                    .is_map_stage = true,
+                                    .shuffle_id = shuffle_id});
 }
 
 Status DagScheduler::RecoverMissing(
@@ -336,12 +316,6 @@ JobState* DagScheduler::ResolveJobForRegistration() {
   if (JobState* j = CurrentJobState()) return j;
   if (override_job_ != nullptr) return override_job_;
   return &default_job_;
-}
-
-TraceCollector& DagScheduler::CollectorForCurrentWork() {
-  JobState* job = ResolveJobForRegistration();
-  if (job->trace != nullptr) return *job->trace;
-  return ctx_->trace_collector();
 }
 
 bool DagScheduler::FairBefore(const JobState* a, const JobState* b) {
@@ -485,27 +459,22 @@ void DagScheduler::RegisterTaskSet(TaskSetState* set) {
   set->retries.assign(set->n, 0);
   set->has_duplicate.assign(set->n, 0);
   for (size_t i = 0; i < set->n; ++i) set->pending.push_back(static_cast<int>(i));
-  set->stage_start = ctx_->now();
-  set->stage_end = set->stage_start;
-  set->queued_at.assign(set->n, set->stage_start);
+  set->rec.start_time = ctx_->now();
+  set->rec.end_time = set->rec.start_time;
+  set->queued_at.assign(set->n, set->rec.start_time);
   active_sets_.push_back(set);
-  ctx_->metrics().Sample(set->stage_start, cluster, TotalPending(),
+  ctx_->metrics().Sample(set->rec.start_time, cluster, TotalPending(),
                          TotalRunning(), /*force=*/true);
 
   // Query-profile recording: all of it happens in the single-threaded event
   // loop (or on the owning job's thread while it holds the baton) and
   // captures only virtual-time observables, so profiles are byte-identical
-  // across host_threads settings. When no profile is active every hook is a
-  // no-op.
+  // across host_threads settings. When no profile is active every
+  // per-attempt hook is a no-op; the stage record is kept regardless.
   set->collector = set->job->trace != nullptr ? set->job->trace
                                               : &ctx_->trace_collector();
   set->tracing = set->collector->active();
-  set->stage_tid =
-      set->tracing ? set->collector->BeginStage(set->info.label,
-                                                set->info.is_map_stage,
-                                                set->info.shuffle_id,
-                                                set->stage_start)
-                   : -1;
+  set->stage_tid = set->tracing ? set->collector->BeginStage(set->rec) : -1;
 
   set->slots.assign(set->n, TaskSetState::TaskSlot{});
   ThreadPool* pool = ctx_->thread_pool();
@@ -552,7 +521,7 @@ Status DagScheduler::Launch(TaskSetState* set, int task, int node, int core,
   // on the reduce side. Decided in the single-threaded event loop at
   // launch, so it is deterministic; the winning attempt's flag commits.
   MemoryManager& mm = ctx_->memory_manager();
-  if (set->info.is_map_stage && !outcome.map_output.on_disk &&
+  if (set->rec.is_map_stage && !outcome.map_output.on_disk &&
       outcome.bytes_out > 0 && !mm.ShuffleFits(node, outcome.bytes_out)) {
     outcome.map_output.on_disk = true;
     outcome.work.ser_bytes += outcome.bytes_out;
@@ -577,7 +546,7 @@ Status DagScheduler::Launch(TaskSetState* set, int task, int node, int core,
   for (int id : outcome.broadcast_fetches) {
     outcome.work.net_read_bytes += ctx_->broadcasts().ChargeFetch(id, node);
   }
-  set->metrics->total_work.Add(outcome.work);
+  set->rec.work.Add(outcome.work);
 
   double work_sec = ctx_->cost_model().WorkSeconds(outcome.work, profile,
                                                    ctx_->virtual_scale());
@@ -588,18 +557,18 @@ Status DagScheduler::Launch(TaskSetState* set, int task, int node, int core,
   // consumed the least virtual core time per unit weight launches next when
   // several jobs' sets are runnable at the same instant.
   set->job->service_seconds += finish - start_exec;
-  // Locality classification (0=preferred, 1=remote, 2=any) feeds both the
-  // metrics layer and, when active, the query profile.
+  // Locality classification feeds both the metrics layer and, when active,
+  // the query profile.
   std::vector<int> prefs = set->preferred(task);
-  int locality = 2;
+  TaskLocality locality = TaskLocality::kAny;
   if (!prefs.empty()) {
-    locality = 1;
-    for (int p : prefs) {
-      if (p == node) locality = 0;
-    }
+    locality = std::find(prefs.begin(), prefs.end(), node) != prefs.end()
+                   ? TaskLocality::kPreferred
+                   : TaskLocality::kRemote;
   }
-  cm.OnTaskLaunch(locality, speculative, outcome.work, work_sec);
-  if (speculative) set->stage_speculative += 1;
+  cm.OnTaskLaunch(locality, speculative, outcome.work);
+  set->rec.launched += 1;
+  if (speculative) set->rec.speculative += 1;
   int trace_idx = -1;
   if (set->tracing) {
     TaskTrace tt;
@@ -614,14 +583,8 @@ Status DagScheduler::Launch(TaskSetState* set, int task, int node, int core,
     tt.run_start = start_exec;
     tt.finish_time = finish;
     tt.rows_out = outcome.rows_out;
-    tt.bytes_out = outcome.bytes_out;
     tt.work = outcome.work;  // placement-resolved counters
-    tt.spill_bytes = outcome.spill_bytes;
-    tt.spill_partitions = outcome.spill_partitions;
-    tt.output_on_disk = outcome.map_output.on_disk;
-    tt.locality = locality == 0   ? TaskLocality::kPreferred
-                  : locality == 1 ? TaskLocality::kRemote
-                                  : TaskLocality::kAny;
+    tt.locality = locality;
     StageTrace* st = set->strace();
     trace_idx = static_cast<int>(st->tasks.size());
     st->tasks.push_back(std::move(tt));
@@ -632,8 +595,6 @@ Status DagScheduler::Launch(TaskSetState* set, int task, int node, int core,
   if (!speculative) {
     set->state[static_cast<size_t>(task)] = TaskState::kRunning;
   }
-  set->metrics->tasks_launched += 1;
-  if (speculative) set->metrics->speculative_tasks += 1;
   cm.Sample(start_exec, cluster, TotalPending(), TotalRunning(),
             /*force=*/false);
   return Status::OK();
@@ -668,9 +629,8 @@ void DagScheduler::ProcessDeaths(const std::vector<int>& killed, double at) {
             tt.finish_time = at;
           }
           set->inflight.erase(set->inflight.begin() + static_cast<long>(i));
-          set->metrics->tasks_failed += 1;
+          set->rec.node_deaths += 1;
           cm.OnTaskFailed();
-          set->stage_failed += 1;
           // Requeue unless a duplicate still runs or it already committed.
           bool still_running = false;
           for (const TaskSetState::Inflight& f : set->inflight) {
@@ -711,6 +671,7 @@ void DagScheduler::ProcessDeaths(const std::vector<int>& killed, double at) {
 
 void DagScheduler::FinalizeSet(TaskSetState* set) {
   ClusterMetrics& cm = ctx_->metrics();
+  StageRecord& rec = set->rec;
   // Anything still in flight is a losing speculative duplicate (a set only
   // finalizes once every task committed) — its output is abandoned. Its
   // core occupancy stands: the cluster really did burn those cores.
@@ -724,23 +685,27 @@ void DagScheduler::FinalizeSet(TaskSetState* set) {
   }
   BumpEpoch();
   UnregisterTaskSet(set);
-  ctx_->AdvanceTo(set->stage_end);
-  cm.Sample(set->stage_end, ctx_->cluster(), TotalPending(), TotalRunning(),
+  ctx_->AdvanceTo(rec.end_time);
+  cm.Sample(rec.end_time, ctx_->cluster(), TotalPending(), TotalRunning(),
             /*force=*/true);
-  const StageSkewReport* skew = cm.OnStageEnd(
-      set->info.label, set->stage_start, set->stage_end,
-      set->committed_durations, set->committed_partitions, set->committed_nodes,
-      set->stage_speculative, set->stage_failed);
-  SHARK_LOG(kDebug) << "stage " << skew->seq << " [" << set->info.label
-                    << "] t=" << set->stage_start << ".." << set->stage_end
-                    << " tasks=" << skew->tasks << " dur_skew="
-                    << skew->dur_skew << " straggler p"
-                    << skew->straggler_partition << "@n"
-                    << skew->straggler_node;
-  if (set->tracing) set->collector->EndStage(set->stage_tid, set->stage_end);
+  // The bucket-size distribution the master observed (post log-encoding):
+  // the PDE skew signal, summarized once for the report and the trace.
+  if (rec.is_map_stage) {
+    rec.shuffle = SummarizeBuckets(
+        ctx_->shuffle_manager().Stats(rec.shuffle_id).bucket_bytes);
+  }
+  const StageSkewReport& skew = cm.OnStageEnd(rec);
+  SHARK_LOG(kDebug) << "stage " << skew.seq << " [" << rec.label
+                    << "] t=" << rec.start_time << ".." << rec.end_time
+                    << " tasks=" << skew.tasks << " dur_skew="
+                    << skew.dur_skew << " straggler p"
+                    << skew.straggler_partition << "@n"
+                    << skew.straggler_node;
+  if (set->tracing) set->collector->EndStage(set->stage_tid, rec);
+  set->metrics->AddStage(rec);
   set->finalized = true;
   // Wake the owner before the loop touches another event, so post-stage
-  // reads (last_job_, last_stage_report) still refer to this stage.
+  // reads (last_job_) still refer to this stage.
   if (set->job->cooperative && coop_hooks_.resume) {
     coop_hooks_.resume(set->job);
   }
@@ -750,6 +715,7 @@ void DagScheduler::FailSet(TaskSetState* set, const Status& status) {
   if (set->finalized) return;
   set->status = status;
   set->finalized = true;
+  set->metrics->AddStage(set->rec);
   UnregisterTaskSet(set);
   if (set->batch != nullptr) set->batch->CancelAndDrain();
   if (set->job->cooperative && coop_hooks_.resume) {
@@ -774,16 +740,16 @@ Status DagScheduler::ProcessCompletion(TaskSetState* set, size_t idx) {
   }
   if (!done.outcome.missing_inputs.empty()) {
     // Shuffle inputs were lost: recompute them from lineage, then re-run.
-    set->metrics->tasks_rerun_missing += 1;
+    set->rec.missing_inputs += 1;
     cm.OnTaskMissingInput();
+    if (set->tracing && done.trace >= 0) {
+      set->strace()->tasks[static_cast<size_t>(done.trace)].end =
+          TaskEnd::kMissingInput;
+    }
     set->retries[static_cast<size_t>(done.task)] += 1;
     if (set->retries[static_cast<size_t>(done.task)] > kMaxTaskRetries) {
       FailSet(set, Status::ExecutionError("task exceeded retry limit (recovery)"));
       return Status::OK();
-    }
-    if (set->tracing && done.trace >= 0) {
-      set->strace()->tasks[static_cast<size_t>(done.trace)].end =
-          TaskEnd::kMissingInput;
     }
     set->Event(t, "task " + std::to_string(done.task) +
                       " hit missing shuffle input; lineage recovery of " +
@@ -856,14 +822,20 @@ Status DagScheduler::ProcessCompletion(TaskSetState* set, size_t idx) {
       st->cache_by_rdd[rdd].Add(counters);
     }
   }
+  StageRecord& rec = set->rec;
+  rec.end_time = std::max(rec.end_time, done.finish);
+  rec.commits.push_back(StageCommit{
+      done.finish - done.start, set->partitions[static_cast<size_t>(done.task)],
+      done.node});
+  rec.rows_out += done.outcome.rows_out;
+  rec.bytes_out += done.outcome.bytes_out;
+  rec.spill_bytes += done.outcome.spill_bytes;
+  rec.spill_partitions += done.outcome.spill_partitions;
+  rec.spilled_tasks += done.outcome.spill_bytes > 0 ? 1 : 0;
+  rec.disk_served_outputs += done.outcome.map_output.on_disk ? 1 : 0;
   set->commit(done.task, std::move(done.outcome), done.node);
   set->state[static_cast<size_t>(done.task)] = TaskState::kCommitted;
   set->committed += 1;
-  set->stage_end = std::max(set->stage_end, done.finish);
-  set->committed_durations.push_back(done.finish - done.start);
-  set->committed_partitions.push_back(
-      set->partitions[static_cast<size_t>(done.task)]);
-  set->committed_nodes.push_back(done.node);
   cm.OnTaskCommitted(done.finish - done.start);
   cm.Sample(t, ctx_->cluster(), TotalPending(), TotalRunning(),
             /*force=*/false);
@@ -871,7 +843,7 @@ Status DagScheduler::ProcessCompletion(TaskSetState* set, size_t idx) {
   return Status::OK();
 }
 
-Result<DagScheduler::DriveResult> DagScheduler::StepOnce(double time_limit) {
+Result<DagScheduler::DriveResult> DagScheduler::DriveOnce(double time_limit) {
   Cluster& cluster = ctx_->cluster();
   const ClusterConfig& cfg = ctx_->config();
 
@@ -886,7 +858,7 @@ Result<DagScheduler::DriveResult> DagScheduler::StepOnce(double time_limit) {
   {
     double t;
     int node, core;
-    if (!cluster.EarliestFreeCore(live.front()->stage_start, &t, &node,
+    if (!cluster.EarliestFreeCore(live.front()->rec.start_time, &t, &node,
                                   &core)) {
       Status st = Status::ExecutionError("all cluster nodes failed");
       std::vector<TaskSetState*> doomed = live;
@@ -906,7 +878,9 @@ Result<DagScheduler::DriveResult> DagScheduler::StepOnce(double time_limit) {
     if (s->pending.empty()) continue;
     double t;
     int node, core;
-    if (!cluster.EarliestFreeCore(s->stage_start, &t, &node, &core)) continue;
+    if (!cluster.EarliestFreeCore(s->rec.start_time, &t, &node, &core)) {
+      continue;
+    }
     if (aset == nullptr || t < assign_t ||
         (t == assign_t && FairBefore(s->job, aset->job))) {
       aset = s;
@@ -957,7 +931,7 @@ Result<DagScheduler::DriveResult> DagScheduler::StepOnce(double time_limit) {
           continue;
         }
         int core = 0;
-        double avail = std::max(aset->stage_start,
+        double avail = std::max(aset->rec.start_time,
                                 cluster.EarliestFreeCoreOnNode(node, &core));
         if (avail < best_local) {
           best_local = avail;
@@ -993,16 +967,20 @@ Result<DagScheduler::DriveResult> DagScheduler::StepOnce(double time_limit) {
     int spec_core = -1;
     int spec_task = -1;
     for (TaskSetState* s : live) {
-      if (!s->pending.empty() || s->committed_durations.size() < 3) continue;
+      if (!s->pending.empty() || s->rec.commits.size() < 3) continue;
       double t;
       int node, core;
-      if (!cluster.EarliestFreeCore(s->stage_start, &t, &node, &core)) continue;
+      if (!cluster.EarliestFreeCore(s->rec.start_time, &t, &node, &core)) {
+        continue;
+      }
       if (!(t < next_completion)) continue;
       if (sset != nullptr &&
           !(t < spec_t || (t == spec_t && FairBefore(s->job, sset->job)))) {
         continue;
       }
-      std::vector<double> durs = s->committed_durations;
+      std::vector<double> durs;
+      durs.reserve(s->rec.commits.size());
+      for (const StageCommit& c : s->rec.commits) durs.push_back(c.duration);
       std::nth_element(durs.begin(),
                        durs.begin() + static_cast<long>(durs.size() / 2),
                        durs.end());
@@ -1056,13 +1034,9 @@ Result<DagScheduler::DriveResult> DagScheduler::StepOnce(double time_limit) {
   return DriveResult::kProcessed;
 }
 
-Result<DagScheduler::DriveResult> DagScheduler::DriveOnce(double time_limit) {
-  return StepOnce(time_limit);
-}
-
 Status DagScheduler::DriveUntilFinalized(TaskSetState* target) {
   while (!target->finalized) {
-    Result<DriveResult> r = StepOnce(kInf);
+    Result<DriveResult> r = DriveOnce(kInf);
     SHARK_RETURN_NOT_OK(r.status());
     if (r.value() == DriveResult::kIdle) {
       return Status::Internal("event loop idle with an unfinalized task set");
@@ -1075,7 +1049,7 @@ Status DagScheduler::ExecuteTaskSet(
     const std::vector<int>& partitions,
     const std::function<std::vector<int>(int)>& preferred, const TaskBody& body,
     const CommitFn& commit, const LostOutputFn& lost_outputs,
-    JobMetrics* metrics, const StageInfo& info) {
+    JobMetrics* metrics, StageRecord stage) {
   if (partitions.empty()) return Status::OK();
 
   TaskSetState set;
@@ -1085,7 +1059,7 @@ Status DagScheduler::ExecuteTaskSet(
   set.commit = commit;
   set.lost_outputs = lost_outputs;
   set.metrics = metrics;
-  set.info = info;
+  set.rec = std::move(stage);
   RegisterTaskSet(&set);
 
   Status drive_status = Status::OK();

@@ -32,6 +32,9 @@ struct JobMetrics {
   TaskWork total_work;
   /// Node that produced each result partition (result stage only).
   std::vector<int> result_nodes;
+
+  /// Folds a finished (or failed) stage's task counters and work in.
+  void AddStage(const StageRecord& stage);
 };
 
 /// Identity and fair-share accounting of one query/job admitted to the
@@ -135,11 +138,12 @@ class DagScheduler {
   };
   void set_coop_hooks(CoopHooks hooks) { coop_hooks_ = std::move(hooks); }
 
-  /// Processes the single earliest pending event across all active task
-  /// sets, if it occurs at or before `time_limit`. Finalizing a set resumes
-  /// its cooperative owner (which may register new sets) before returning.
-  /// Only the JobManager driver (or a plain caller via ExecuteTaskSet's
-  /// internal drive) may call this.
+  /// Processes the single earliest pending event (launch, speculation,
+  /// death or completion) across all active task sets, if it occurs at or
+  /// before `time_limit`. Finalizing a set resumes its cooperative owner
+  /// (which may register new sets) before returning. Only the JobManager
+  /// driver (or a plain caller via ExecuteTaskSet's internal drive) may
+  /// call this.
   Result<DriveResult> DriveOnce(double time_limit);
 
   /// True while any task set is registered with the event loop.
@@ -192,24 +196,18 @@ class DagScheduler {
   // node; used to re-run map tasks whose outputs die with their node.
   using LostOutputFn = std::function<std::vector<int>(int node)>;
 
-  /// Identity of a task set for the query profile.
-  struct StageInfo {
-    std::string label;
-    bool is_map_stage = false;
-    int shuffle_id = -1;
-  };
-
   /// Event-driven execution of one set of tasks (one stage, or a recovery
   /// sub-stage). Handles locality, heartbeat quantization, failures,
-  /// missing-input recovery and speculation; records the stage into the
-  /// owning job's TraceCollector when a profile is active. Registers the
-  /// set with the shared event loop; plain callers drive the loop until the
-  /// set finalizes, cooperative job threads park instead.
+  /// missing-input recovery and speculation; fills the set's StageRecord
+  /// from `stage` (label, map flag, shuffle id), and records the stage into
+  /// the owning job's TraceCollector when a profile is active. Registers
+  /// the set with the shared event loop; plain callers drive the loop until
+  /// the set finalizes, cooperative job threads park instead.
   Status ExecuteTaskSet(const std::vector<int>& partitions,
                         const std::function<std::vector<int>(int)>& preferred,
                         const TaskBody& body, const CommitFn& commit,
                         const LostOutputFn& lost_outputs, JobMetrics* metrics,
-                        const StageInfo& info);
+                        StageRecord stage);
 
   /// Registers dep in the id registry and runs its map tasks for the given
   /// parent partitions (lineage recomputation path).
@@ -233,8 +231,6 @@ class DagScheduler {
   /// The job new work registered on this thread belongs to: the thread's
   /// own job, the recovery override, or the plain default job.
   JobState* ResolveJobForRegistration();
-  /// The profile collector current work records into (per-job when set).
-  TraceCollector& CollectorForCurrentWork();
   /// Applies committed tasks' cache accesses in commit order.
   void FlushReplay();
   /// Computes `task`'s outcome into its slot (worker threads or inline).
@@ -246,13 +242,13 @@ class DagScheduler {
   /// Drives the loop until `target` finalizes (plain callers and nested
   /// lineage-recovery stages).
   Status DriveUntilFinalized(TaskSetState* target);
-  /// One launch/speculation/death/completion event; the loop body.
-  Result<DriveResult> StepOnce(double time_limit);
-  /// Closes a completed set: trace/skew/clock bookkeeping, removal from the
-  /// active list, and resuming a cooperative owner.
+  /// Closes a completed set: its bucket summary, the skew report, trace,
+  /// JobMetrics and clock bookkeeping, removal from the active list, and
+  /// resuming a cooperative owner.
   void FinalizeSet(TaskSetState* set);
-  /// Fails a set (scheduling error): records the status, removes it, and
-  /// resumes a cooperative owner. Never records stage-end bookkeeping.
+  /// Fails a set (scheduling error): records the status, folds its record
+  /// into JobMetrics, removes it, and resumes a cooperative owner. Never
+  /// ends the stage (no skew report, no clock advance).
   void FailSet(TaskSetState* set, const Status& status);
   /// Applies node deaths at virtual time `at` across all non-suspended sets.
   void ProcessDeaths(const std::vector<int>& killed, double at);

@@ -297,8 +297,8 @@ bool SharkServer::HandleQuery(int fd, uint64_t conn_id,
     done.profile = res.profile;
     if (res.profile != nullptr) {
       for (const StageTrace& s : res.profile->stages) {
-        done.bytes += s.bytes_out();
-        done.spill_bytes += s.spill_bytes();
+        done.bytes += s.bytes_out;
+        done.spill_bytes += s.spill_bytes;
       }
     }
   } else {

@@ -13,16 +13,6 @@ namespace {
 /// truncation is never silent).
 constexpr size_t kMaxStageReports = 512;
 
-/// Nearest-rank quantile of a sorted vector.
-template <typename T>
-T SortedQuantile(const std::vector<T>& sorted, double q) {
-  if (sorted.empty()) return T{};
-  double rank = q * static_cast<double>(sorted.size() - 1);
-  size_t idx = static_cast<size_t>(rank + 0.5);
-  if (idx >= sorted.size()) idx = sorted.size() - 1;
-  return sorted[idx];
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -68,53 +58,34 @@ void ClusterTimeline::Clear() {
 // Skew analyzer
 // ---------------------------------------------------------------------------
 
-StageSkewReport ComputeStageSkew(const std::string& label, int seq,
-                                 double start_time, double end_time,
-                                 const std::vector<double>& durations,
-                                 const std::vector<int>& partitions,
-                                 const std::vector<int>& nodes) {
+StageSkewReport ComputeStageSkew(const StageRecord& stage, int seq) {
   StageSkewReport r;
   r.seq = seq;
-  r.label = label;
-  r.start_time = start_time;
-  r.end_time = end_time;
-  r.tasks = static_cast<int>(durations.size());
-  if (durations.empty()) return r;
-  std::vector<double> sorted = durations;
+  r.label = stage.label;
+  r.start_time = stage.start_time;
+  r.end_time = stage.end_time;
+  r.tasks = stage.committed();
+  r.speculative = stage.speculative;
+  r.failed = stage.node_deaths;
+  r.shuffle = stage.shuffle;
+  if (stage.commits.empty()) return r;
+  std::vector<double> sorted;
+  sorted.reserve(stage.commits.size());
+  for (const StageCommit& c : stage.commits) sorted.push_back(c.duration);
   std::sort(sorted.begin(), sorted.end());
   r.dur_p50 = SortedQuantile(sorted, 0.5);
   r.dur_p95 = SortedQuantile(sorted, 0.95);
   r.dur_max = sorted.back();
   r.dur_skew = r.dur_p50 > 0.0 ? r.dur_max / r.dur_p50 : 0.0;
-  size_t worst = 0;
-  for (size_t i = 1; i < durations.size(); ++i) {
-    if (durations[i] > durations[worst]) worst = i;
-  }
-  if (worst < partitions.size()) r.straggler_partition = partitions[worst];
-  if (worst < nodes.size()) r.straggler_node = nodes[worst];
+  // The first commit of the longest duration is the straggler.
+  const StageCommit& worst = *std::max_element(
+      stage.commits.begin(), stage.commits.end(),
+      [](const StageCommit& a, const StageCommit& b) {
+        return a.duration < b.duration;
+      });
+  r.straggler_partition = worst.partition;
+  r.straggler_node = worst.node;
   return r;
-}
-
-void AnnotateBucketSkew(const std::vector<uint64_t>& bucket_bytes,
-                        StageSkewReport* report) {
-  report->buckets = static_cast<int>(bucket_bytes.size());
-  if (bucket_bytes.empty()) return;
-  std::vector<uint64_t> sorted = bucket_bytes;
-  std::sort(sorted.begin(), sorted.end());
-  report->bucket_p50 = SortedQuantile(sorted, 0.5);
-  report->bucket_p95 = SortedQuantile(sorted, 0.95);
-  report->bucket_max = sorted.back();
-  uint64_t total = 0;
-  for (uint64_t b : sorted) total += b;
-  double mean =
-      static_cast<double>(total) / static_cast<double>(sorted.size());
-  report->bucket_skew =
-      mean > 0.0 ? static_cast<double>(report->bucket_max) / mean : 0.0;
-  size_t culprit = 0;
-  for (size_t i = 1; i < bucket_bytes.size(); ++i) {
-    if (bucket_bytes[i] > bucket_bytes[culprit]) culprit = i;
-  }
-  report->culprit_bucket = static_cast<int>(culprit);
 }
 
 // ---------------------------------------------------------------------------
@@ -278,18 +249,18 @@ void ClusterMetrics::Sample(double now, const Cluster& cluster,
   timeline_.Record(std::move(s));
 }
 
-void ClusterMetrics::OnTaskLaunch(int locality, bool speculative,
-                                  const TaskWork& work, double work_seconds) {
+void ClusterMetrics::OnTaskLaunch(TaskLocality locality, bool speculative,
+                                  const TaskWork& work) {
   tasks_launched_->Increment();
   if (speculative) tasks_speculative_->Increment();
   switch (locality) {
-    case 0:
+    case TaskLocality::kPreferred:
       locality_preferred_->Increment();
       break;
-    case 1:
+    case TaskLocality::kRemote:
       locality_remote_->Increment();
       break;
-    default:
+    case TaskLocality::kAny:
       locality_any_->Increment();
       break;
   }
@@ -298,7 +269,6 @@ void ClusterMetrics::OnTaskLaunch(int locality, bool speculative,
   net_read_bytes_->Increment(work.net_read_bytes);
   mem_read_bytes_->Increment(work.mem_read_bytes);
   dfs_write_bytes_->Increment(work.dfs_write_bytes);
-  (void)work_seconds;
 }
 
 void ClusterMetrics::OnTaskCommitted(double duration_sec) {
@@ -462,15 +432,9 @@ void ClusterMetrics::SetJobsQueued(int64_t queued) {
   jobs_queued_gauge_->Set(static_cast<double>(queued));
 }
 
-StageSkewReport* ClusterMetrics::OnStageEnd(
-    const std::string& label, double start_time, double end_time,
-    const std::vector<double>& durations, const std::vector<int>& partitions,
-    const std::vector<int>& nodes, int speculative, int failed) {
+const StageSkewReport& ClusterMetrics::OnStageEnd(const StageRecord& stage) {
   stages_total_->Increment();
-  StageSkewReport r = ComputeStageSkew(label, next_stage_seq_++, start_time,
-                                       end_time, durations, partitions, nodes);
-  r.speculative = speculative;
-  r.failed = failed;
+  StageSkewReport r = ComputeStageSkew(stage, next_stage_seq_++);
   if (stage_reports_.size() >= kMaxStageReports) {
     // Keep the most recent window: long bench loops care about the queries
     // they just ran, and the drop is reported, never silent.
@@ -478,7 +442,7 @@ StageSkewReport* ClusterMetrics::OnStageEnd(
     ++dropped_stage_reports_;
   }
   stage_reports_.push_back(std::move(r));
-  return &stage_reports_.back();
+  return stage_reports_.back();
 }
 
 std::string ClusterMetrics::PrometheusText(double now, const Cluster& cluster) {
@@ -526,13 +490,13 @@ std::string ClusterMetrics::TimelineJson() const {
     w.Key("straggler_node").Int(r.straggler_node);
     w.Key("speculative").Int(r.speculative);
     w.Key("failed").Int(r.failed);
-    if (r.buckets > 0) {
-      w.Key("buckets").Int(r.buckets);
-      w.Key("bucket_p50").UInt(r.bucket_p50);
-      w.Key("bucket_p95").UInt(r.bucket_p95);
-      w.Key("bucket_max").UInt(r.bucket_max);
-      w.Key("bucket_skew").FixedDouble(r.bucket_skew, 3);
-      w.Key("culprit_bucket").Int(r.culprit_bucket);
+    if (r.shuffle.buckets > 0) {
+      w.Key("buckets").Int(r.shuffle.buckets);
+      w.Key("bucket_p50").UInt(r.shuffle.p50_bytes);
+      w.Key("bucket_p95").UInt(r.shuffle.p95_bytes);
+      w.Key("bucket_max").UInt(r.shuffle.max_bytes);
+      w.Key("bucket_skew").FixedDouble(r.shuffle.skew, 3);
+      w.Key("culprit_bucket").Int(r.shuffle.culprit);
     }
     w.EndObject();
   }

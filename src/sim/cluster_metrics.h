@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/trace.h"
 #include "sim/cluster.h"
 #include "sim/cost_model.h"
 
@@ -73,14 +74,8 @@ struct StageSkewReport {
   int straggler_partition = -1; // partition of the slowest committed task
   int straggler_node = -1;      // node it ran on
   int speculative = 0;
-  int failed = 0;
-  // Shuffle-bucket side (map stages only; buckets == 0 otherwise).
-  int buckets = 0;
-  uint64_t bucket_p50 = 0;
-  uint64_t bucket_p95 = 0;
-  uint64_t bucket_max = 0;
-  double bucket_skew = 0.0;     // max / mean
-  int culprit_bucket = -1;      // index of the fattest bucket
+  int failed = 0;               // attempts aborted by node death
+  BucketSummary shuffle;        // map stages only; buckets == 0 otherwise
 };
 
 /// Point-in-time SLO readout for one session (or the whole server): live
@@ -99,17 +94,8 @@ struct SessionSloSnapshot {
   double host_p99 = 0.0;
 };
 
-/// Computes duration quantiles/culprits from committed-task observations.
-/// `durations`, `partitions` and `nodes` are parallel arrays.
-StageSkewReport ComputeStageSkew(const std::string& label, int seq,
-                                 double start_time, double end_time,
-                                 const std::vector<double>& durations,
-                                 const std::vector<int>& partitions,
-                                 const std::vector<int>& nodes);
-
-/// Folds a map stage's observed per-bucket bytes into an existing report.
-void AnnotateBucketSkew(const std::vector<uint64_t>& bucket_bytes,
-                        StageSkewReport* report);
+/// Computes duration quantiles and the straggler from a stage's commits.
+StageSkewReport ComputeStageSkew(const StageRecord& stage, int seq);
 
 /// Cluster-wide observability: a MetricsRegistry wired into every layer
 /// (scheduler, memory manager, shuffle manager, block cache, cost model), a
@@ -131,12 +117,6 @@ class ClusterMetrics {
   const std::vector<StageSkewReport>& stage_reports() const {
     return stage_reports_;
   }
-  /// The report OnStageEnd pushed most recently (nullptr before the first
-  /// stage). The scheduler annotates a just-finished map stage's bucket skew
-  /// through this.
-  StageSkewReport* last_stage_report() {
-    return stage_reports_.empty() ? nullptr : &stage_reports_.back();
-  }
 
   // ---- Wiring (context construction) --------------------------------------
 
@@ -155,9 +135,9 @@ class ClusterMetrics {
   void Sample(double now, const Cluster& cluster, int pending_tasks,
               int running_tasks, bool force);
 
-  /// One task attempt launched; `locality` is 0=preferred, 1=remote, 2=any.
-  void OnTaskLaunch(int locality, bool speculative, const TaskWork& work,
-                    double work_seconds);
+  /// One task attempt launched with its placement-resolved work.
+  void OnTaskLaunch(TaskLocality locality, bool speculative,
+                    const TaskWork& work);
   void OnTaskCommitted(double duration_sec);
   void OnTaskFailed();        // aborted by node death
   void OnTaskMissingInput();  // discarded, re-run after lineage recovery
@@ -203,14 +183,8 @@ class ClusterMetrics {
   /// Sessions with at least one completed query, in name order.
   std::vector<std::string> SloSessions() const;
 
-  /// Closes a stage: computes the skew report from committed-task
-  /// observations and returns it for optional annotation (bucket bytes).
-  StageSkewReport* OnStageEnd(const std::string& label, double start_time,
-                              double end_time,
-                              const std::vector<double>& durations,
-                              const std::vector<int>& partitions,
-                              const std::vector<int>& nodes, int speculative,
-                              int failed);
+  /// Closes a stage: computes its skew report from the stage's record.
+  const StageSkewReport& OnStageEnd(const StageRecord& stage);
 
   // ---- Export -------------------------------------------------------------
 

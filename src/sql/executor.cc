@@ -1303,23 +1303,19 @@ std::string StageAnnotation(const StageTrace& st, int indent,
   char buf[192];
   std::snprintf(buf, sizeof(buf), "%s-> stage %d [%s] %.3fs..%.3fs tasks=%d",
                 pad.c_str(), st.id, st.label.c_str(), st.start_time,
-                st.end_time, st.committed_tasks());
+                st.end_time, st.committed());
   std::string out = buf;
-  if (st.speculative_tasks() > 0) {
-    out += " spec=" + std::to_string(st.speculative_tasks());
-  }
-  if (st.failed_tasks() > 0) {
-    out += " failed=" + std::to_string(st.failed_tasks());
-  }
-  out += " rows=" + std::to_string(st.rows_out());
-  if (st.bytes_out() > 0) out += " bytes=" + FormatBytes(st.bytes_out());
+  if (st.speculative > 0) out += " spec=" + std::to_string(st.speculative);
+  if (st.failed() > 0) out += " failed=" + std::to_string(st.failed());
+  out += " rows=" + std::to_string(st.rows_out);
+  if (st.bytes_out > 0) out += " bytes=" + FormatBytes(st.bytes_out);
   out += "\n";
   if (st.shuffle.buckets > 0) {
     std::snprintf(buf, sizeof(buf),
                   "%s   shuffle: buckets=%d min=%s med=%s max=%s skew=%.2f\n",
                   pad.c_str(), st.shuffle.buckets,
                   FormatBytes(st.shuffle.min_bytes).c_str(),
-                  FormatBytes(st.shuffle.median_bytes).c_str(),
+                  FormatBytes(st.shuffle.p50_bytes).c_str(),
                   FormatBytes(st.shuffle.max_bytes).c_str(), st.shuffle.skew);
     out += buf;
   }
@@ -1335,16 +1331,16 @@ std::string StageAnnotation(const StageTrace& st, int indent,
     }
     out += "\n";
   }
-  out += pad + "   work: " + WorkSummary(st.total_work()) + "\n";
-  if (st.spilled_tasks() > 0) {
-    out += pad + "   spill: " + FormatBytes(st.spill_bytes()) + " in " +
-           std::to_string(st.spill_partitions()) + " partitions across " +
-           std::to_string(st.spilled_tasks()) + " tasks\n";
+  out += pad + "   work: " + WorkSummary(st.work) + "\n";
+  if (st.spilled_tasks > 0) {
+    out += pad + "   spill: " + FormatBytes(st.spill_bytes) + " in " +
+           std::to_string(st.spill_partitions) + " partitions across " +
+           std::to_string(st.spilled_tasks) + " tasks\n";
   }
-  if (st.disk_served_outputs() > 0) {
+  if (st.disk_served_outputs > 0) {
     out += pad + "   shuffle-serve: disk outputs=" +
-           std::to_string(st.disk_served_outputs()) + "/" +
-           std::to_string(st.committed_tasks()) + "\n";
+           std::to_string(st.disk_served_outputs) + "/" +
+           std::to_string(st.committed()) + "\n";
   }
   for (const std::string& e : st.events) out += pad + "   event: " + e + "\n";
   return out;
@@ -1373,7 +1369,7 @@ void AppendAnalyzed(const LogicalPlan& node, int indent,
       std::snprintf(buf, sizeof(buf), "%s  est_rows=%.0f actual_rows=%llu\n",
                     pad.c_str(), node.est_rows,
                     static_cast<unsigned long long>(
-                        it->second.back()->rows_out()));
+                        it->second.back()->rows_out));
       *out += buf;
     }
     for (const StageTrace* st : it->second) {

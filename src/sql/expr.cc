@@ -221,12 +221,14 @@ bool LikeMatch(std::string_view text, std::string_view pattern) {
   size_t t = 0, p = 0;
   size_t star_p = std::string_view::npos, star_t = 0;
   while (t < text.size()) {
-    if (p < pattern.size() && (pattern[p] == '_' || pattern[p] == text[t])) {
-      ++t;
-      ++p;
-    } else if (p < pattern.size() && pattern[p] == '%') {
+    // A pattern '%' is always the wildcard, even against a text '%'.
+    if (p < pattern.size() && pattern[p] == '%') {
       star_p = p++;
       star_t = t;
+    } else if (p < pattern.size() &&
+               (pattern[p] == '_' || pattern[p] == text[t])) {
+      ++t;
+      ++p;
     } else if (star_p != std::string_view::npos) {
       p = star_p + 1;
       t = ++star_t;

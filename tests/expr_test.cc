@@ -138,6 +138,23 @@ TEST(LikeMatchTest, Wildcards) {
   EXPECT_TRUE(LikeMatch("a.b.c", "a%c"));
 }
 
+TEST(LikeMatchTest, PercentInText) {
+  // A pattern '%' is a wildcard even where the text holds a literal '%'.
+  EXPECT_TRUE(LikeMatch("%x", "%"));
+  EXPECT_TRUE(LikeMatch("a%b", "a%"));
+  EXPECT_TRUE(LikeMatch("a%b", "a%b"));
+  EXPECT_TRUE(LikeMatch("a%b", "%b"));
+  EXPECT_TRUE(LikeMatch("%", "%"));
+  EXPECT_TRUE(LikeMatch("%", "_"));
+  EXPECT_FALSE(LikeMatch("50% off", "%\\% off"));  // no escape character
+  EXPECT_TRUE(LikeMatch("50% off", "50% off"));
+  EXPECT_TRUE(LikeMatch("50% off", "%0%o%"));
+  EXPECT_FALSE(LikeMatch("a%b", "a%c"));
+  EXPECT_TRUE(LikeMatch("%", "%_"));
+  EXPECT_FALSE(LikeMatch("%", "%__"));
+  EXPECT_FALSE(LikeMatch("", "_"));
+}
+
 TEST(ConjunctTest, SplitAndCombine) {
   auto e = Bind("a > 1 AND b < 2 AND c = 'US'");
   auto conjuncts = SplitConjuncts(e);

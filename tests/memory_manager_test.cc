@@ -155,7 +155,7 @@ TEST(ReduceMemoryTest, FewGroupAggregateAtHighScaleDoesNotSpillInReduce) {
   for (const StageTrace& st : r->profile->stages) {
     if (st.is_map_stage) continue;
     ++reduce_stages;
-    EXPECT_EQ(st.spill_bytes(), 0u) << "reduce stage " << st.label;
+    EXPECT_EQ(st.spill_bytes, 0u) << "reduce stage " << st.label;
   }
   EXPECT_GT(reduce_stages, 0);
 }

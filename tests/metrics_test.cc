@@ -232,18 +232,44 @@ TEST(ClusterTimelineTest, DecimationBoundsMemoryAndKeepsOrder) {
 // Skew analyzer
 // ---------------------------------------------------------------------------
 
+/// A stage record with one commit per entry of the three lists.
+StageRecord MakeRecord(const std::string& label, double start, double end,
+                       const std::vector<double>& durations,
+                       const std::vector<int>& partitions,
+                       const std::vector<int>& nodes) {
+  StageRecord rec;
+  rec.label = label;
+  rec.start_time = start;
+  rec.end_time = end;
+  for (size_t i = 0; i < durations.size(); ++i) {
+    rec.commits.push_back(StageCommit{durations[i], partitions[i], nodes[i]});
+  }
+  return rec;
+}
+
 TEST(StageSkewTest, EmptyStage) {
-  StageSkewReport r = ComputeStageSkew("empty", 0, 1.0, 2.0, {}, {}, {});
+  StageRecord rec = MakeRecord("empty", 1.0, 2.0, {}, {}, {});
+  rec.speculative = 2;
+  rec.node_deaths = 1;
+  rec.missing_inputs = 4;
+  StageSkewReport r = ComputeStageSkew(rec, 0);
+  EXPECT_EQ(r.label, "empty");
+  EXPECT_EQ(r.start_time, 1.0);
+  EXPECT_EQ(r.end_time, 2.0);
   EXPECT_EQ(r.tasks, 0);
   EXPECT_EQ(r.dur_max, 0.0);
   EXPECT_EQ(r.dur_skew, 0.0);
   EXPECT_EQ(r.straggler_partition, -1);
   EXPECT_EQ(r.straggler_node, -1);
+  // Counts come from the record even with no commits; `failed` is node
+  // deaths only (missing-input re-runs are not aborts).
+  EXPECT_EQ(r.speculative, 2);
+  EXPECT_EQ(r.failed, 1);
 }
 
 TEST(StageSkewTest, SingleTaskHasNoSkew) {
   StageSkewReport r =
-      ComputeStageSkew("one", 3, 0.0, 4.0, {4.0}, {7}, {2});
+      ComputeStageSkew(MakeRecord("one", 0.0, 4.0, {4.0}, {7}, {2}), 3);
   EXPECT_EQ(r.seq, 3);
   EXPECT_EQ(r.tasks, 1);
   EXPECT_EQ(r.dur_p50, 4.0);
@@ -261,7 +287,8 @@ TEST(StageSkewTest, StragglerIsNamed) {
   std::vector<int> nodes(10, 0);
   durs[6] = 5.0;
   nodes[6] = 3;
-  StageSkewReport r = ComputeStageSkew("skewed", 0, 0.0, 5.0, durs, parts, nodes);
+  StageSkewReport r =
+      ComputeStageSkew(MakeRecord("skewed", 0.0, 5.0, durs, parts, nodes), 0);
   EXPECT_EQ(r.tasks, 10);
   EXPECT_EQ(r.dur_p50, 1.0);
   EXPECT_EQ(r.dur_max, 5.0);
@@ -271,18 +298,23 @@ TEST(StageSkewTest, StragglerIsNamed) {
 }
 
 TEST(StageSkewTest, BucketAnnotation) {
-  StageSkewReport r;
-  AnnotateBucketSkew({}, &r);
-  EXPECT_EQ(r.buckets, 0);
-  EXPECT_EQ(r.culprit_bucket, -1);
+  // A result stage carries no bucket summary.
+  StageRecord rec = MakeRecord("map", 0.0, 1.0, {1.0}, {0}, {0});
+  StageSkewReport r = ComputeStageSkew(rec, 0);
+  EXPECT_EQ(r.shuffle.buckets, 0);
+  EXPECT_EQ(r.shuffle.culprit, -1);
 
-  // Buckets {100, 100, 100, 500}: mean 200, max 500 at index 3.
-  AnnotateBucketSkew({100, 100, 500, 100}, &r);
-  EXPECT_EQ(r.buckets, 4);
-  EXPECT_EQ(r.bucket_p50, 100u);
-  EXPECT_EQ(r.bucket_max, 500u);
-  EXPECT_DOUBLE_EQ(r.bucket_skew, 2.5);
-  EXPECT_EQ(r.culprit_bucket, 2);
+  // Buckets {100, 100, 500, 100}: mean 200, max 500 at index 2. The report
+  // carries the record's summary unchanged.
+  rec.is_map_stage = true;
+  rec.shuffle = SummarizeBuckets({100, 100, 500, 100});
+  r = ComputeStageSkew(rec, 0);
+  EXPECT_EQ(r.shuffle.buckets, 4);
+  EXPECT_EQ(r.shuffle.p50_bytes, 100u);
+  EXPECT_EQ(r.shuffle.p95_bytes, 500u);
+  EXPECT_EQ(r.shuffle.max_bytes, 500u);
+  EXPECT_DOUBLE_EQ(r.shuffle.skew, 2.5);
+  EXPECT_EQ(r.shuffle.culprit, 2);
 }
 
 // ---------------------------------------------------------------------------

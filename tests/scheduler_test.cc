@@ -1,4 +1,5 @@
 #include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -286,7 +287,7 @@ TEST(SchedulerTest, SpeculativeDuplicatesDontCorruptShuffleState) {
   int speculative = 0;
   const StageTrace* map_stage = nullptr;
   for (const StageTrace& st : profile->stages) {
-    speculative += st.speculative_tasks();
+    speculative += st.speculative;
     if (st.is_map_stage) map_stage = &st;
   }
   EXPECT_GT(speculative, 0);
@@ -327,6 +328,115 @@ TEST(SchedulerTest, MapPruningLaunchesFewerTasks) {
   ASSERT_TRUE(some.ok());
   EXPECT_EQ(ctx.scheduler().last_job().tasks_launched, 2);
   EXPECT_EQ(all_tasks, 10);
+}
+
+/// The stage record is the one source of truth: tracing only adds
+/// per-attempt detail, so a run with an active profile exports the same
+/// metrics as a run without, and every profiled stage's counts agree with
+/// its skew report and with a walk over its own attempts.
+struct RecordedRun {
+  std::string exports;
+  std::shared_ptr<QueryProfile> profile;
+  std::vector<StageSkewReport> reports;
+  JobMetrics job;
+};
+
+RecordedRun RunSpeculativeFaultyJob(bool profiled) {
+  ClusterConfig cfg;
+  cfg.num_nodes = 4;
+  cfg.hardware.cores_per_node = 2;
+  cfg.virtual_data_scale = 1e7;
+  cfg.speculation = true;
+  ClusterContext ctx(cfg);
+  // A slow node draws speculative duplicates; another dies mid-stage.
+  ctx.InjectFault(FaultEvent{FaultEvent::Kind::kSlowdown, 0.0, 1, 8.0});
+  ctx.InjectFault(FaultEvent{FaultEvent::Kind::kKill, 0.3, 2, 1.0});
+  std::vector<std::pair<int64_t, int64_t>> data;
+  for (int64_t i = 0; i < 4000; ++i) data.emplace_back(i % 100, 1);
+  auto rdd = ctx.Parallelize(data, 8);
+  auto first = ReduceByKey(rdd, [](int64_t a, int64_t b) { return a + b; }, 6);
+  RddPtr<std::pair<int64_t, int64_t>> rekeyed =
+      first->Map([](const std::pair<int64_t, int64_t>& kv) {
+        return std::make_pair(kv.first % 10, kv.second);
+      });
+  auto second =
+      ReduceByKey(rekeyed, [](int64_t a, int64_t b) { return a + b; }, 4);
+
+  RecordedRun run;
+  TraceCollector& tc = ctx.trace_collector();
+  if (profiled) {
+    EXPECT_TRUE(tc.BeginQuery(ctx.now()));
+  }
+  auto result = ctx.Collect(second);
+  if (profiled) run.profile = tc.EndQuery(ctx.now());
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  run.exports = ctx.metrics().TimelineJson() +
+                ctx.metrics().PrometheusText(ctx.now(), ctx.cluster());
+  run.reports = ctx.metrics().stage_reports();
+  run.job = ctx.scheduler().last_job();
+  return run;
+}
+
+TEST(StageRecordTest, ProfileDoesNotChangeMetricsExports) {
+  RecordedRun plain = RunSpeculativeFaultyJob(/*profiled=*/false);
+  RecordedRun traced = RunSpeculativeFaultyJob(/*profiled=*/true);
+  EXPECT_EQ(plain.exports, traced.exports);
+  EXPECT_EQ(plain.job.tasks_launched, traced.job.tasks_launched);
+  EXPECT_EQ(plain.job.tasks_failed, traced.job.tasks_failed);
+  EXPECT_EQ(plain.job.speculative_tasks, traced.job.speculative_tasks);
+  EXPECT_EQ(plain.job.tasks_rerun_missing, traced.job.tasks_rerun_missing);
+  // The run exercises what it claims to.
+  EXPECT_GT(plain.job.tasks_failed, 0);
+  EXPECT_GT(plain.job.speculative_tasks, 0);
+}
+
+TEST(StageRecordTest, ProfiledCountsMatchSkewReportAndAttempts) {
+  RecordedRun run = RunSpeculativeFaultyJob(/*profiled=*/true);
+  ASSERT_NE(run.profile, nullptr);
+  ASSERT_EQ(run.profile->stages.size(), run.reports.size());
+  int launched = 0, speculative = 0, node_deaths = 0, missing = 0;
+  for (const StageTrace& st : run.profile->stages) {
+    // Its skew report: reports are in end order, stages in start order.
+    const StageSkewReport* report = nullptr;
+    for (const StageSkewReport& r : run.reports) {
+      if (r.label == st.label && r.start_time == st.start_time &&
+          r.end_time == st.end_time) {
+        EXPECT_EQ(report, nullptr) << "two reports match " << st.label;
+        report = &r;
+      }
+    }
+    ASSERT_NE(report, nullptr) << st.label;
+    int walk_committed = 0, walk_speculative = 0, walk_deaths = 0,
+        walk_missing = 0;
+    for (const TaskTrace& t : st.tasks) {
+      walk_committed += t.end == TaskEnd::kCommitted ? 1 : 0;
+      walk_speculative += t.speculative ? 1 : 0;
+      walk_deaths += t.end == TaskEnd::kNodeDeath ? 1 : 0;
+      walk_missing += t.end == TaskEnd::kMissingInput ? 1 : 0;
+    }
+    EXPECT_EQ(st.committed(), report->tasks) << st.label;
+    EXPECT_EQ(st.committed(), walk_committed) << st.label;
+    EXPECT_EQ(st.speculative, report->speculative) << st.label;
+    EXPECT_EQ(st.speculative, walk_speculative) << st.label;
+    EXPECT_EQ(st.node_deaths, report->failed) << st.label;
+    EXPECT_EQ(st.node_deaths, walk_deaths) << st.label;
+    EXPECT_EQ(st.missing_inputs, walk_missing) << st.label;
+    EXPECT_EQ(st.launched, static_cast<int>(st.tasks.size())) << st.label;
+    EXPECT_EQ(st.shuffle.buckets, report->shuffle.buckets) << st.label;
+    EXPECT_EQ(st.shuffle.culprit, report->shuffle.culprit) << st.label;
+    EXPECT_EQ(st.is_map_stage, st.shuffle.buckets > 0) << st.label;
+    launched += st.launched;
+    speculative += st.speculative;
+    node_deaths += st.node_deaths;
+    missing += st.missing_inputs;
+  }
+  // JobMetrics is folded from the same records.
+  EXPECT_EQ(run.job.tasks_launched, launched);
+  EXPECT_EQ(run.job.speculative_tasks, speculative);
+  EXPECT_EQ(run.job.tasks_failed, node_deaths);
+  EXPECT_EQ(run.job.tasks_rerun_missing, missing);
+  EXPECT_GT(speculative, 0);
+  EXPECT_GT(node_deaths, 0);
 }
 
 }  // namespace

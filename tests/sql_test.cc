@@ -69,6 +69,38 @@ TEST_F(SqlTest, SimpleSelection) {
   }
 }
 
+TEST_F(SqlTest, LikeOverTextsHoldingPercent) {
+  // A pattern '%' stays a wildcard where the text itself holds '%', on the
+  // row path (DFS) and on string views (cached columnar).
+  Schema promos({{"label", TypeKind::kString}});
+  std::vector<Row> rows;
+  for (const char* label : {"50% off", "%x", "a%b", "a%", "ab", "100%"}) {
+    rows.push_back(Row({Value::String(label)}));
+  }
+  ASSERT_TRUE(session_->CreateDfsTable("promos", promos, rows, 2).ok());
+  auto labels = [&](const std::string& sql) {
+    std::multiset<std::string> out;
+    for (const Row& row : MustQuery(sql).rows) out.insert(row.Get(0).str());
+    return out;
+  };
+  for (int cached = 0; cached < 2; ++cached) {
+    if (cached == 1) {
+      ASSERT_TRUE(session_->CacheTable("promos").ok());
+    }
+    EXPECT_EQ(labels("SELECT label FROM promos WHERE label LIKE 'a%'"),
+              (std::multiset<std::string>{"a%b", "a%", "ab"}));
+    EXPECT_EQ(labels("SELECT label FROM promos WHERE label LIKE '%%'").size(),
+              6u);
+    EXPECT_EQ(labels("SELECT label FROM promos WHERE label LIKE '%0%'"),
+              (std::multiset<std::string>{"50% off", "100%"}));
+    EXPECT_EQ(labels("SELECT label FROM promos WHERE label LIKE 'a%b'"),
+              (std::multiset<std::string>{"a%b", "ab"}));
+    EXPECT_EQ(labels("SELECT label FROM promos WHERE label NOT LIKE '%x'"),
+              (std::multiset<std::string>{"50% off", "a%b", "a%", "ab",
+                                          "100%"}));
+  }
+}
+
 TEST_F(SqlTest, ProjectionExpressions) {
   QueryResult r = MustQuery(
       "SELECT pageRank * 2 + 1 AS x FROM rankings WHERE pageRank = 10");

@@ -66,8 +66,8 @@ TEST_F(TraceTest, SelectCarriesProfile) {
   uint64_t stage_rows = 0;
   for (const StageTrace& st : r.profile->stages) {
     EXPECT_GE(st.end_time, st.start_time);
-    EXPECT_GT(st.committed_tasks(), 0);
-    stage_rows += st.rows_out();
+    EXPECT_GT(st.committed(), 0);
+    stage_rows += st.rows_out;
     for (const TaskTrace& t : st.tasks) {
       EXPECT_LE(st.start_time, t.queue_time);
       EXPECT_LE(t.queue_time, t.launch_time);
@@ -91,8 +91,9 @@ TEST_F(TraceTest, JoinAggProfileHasShuffleStages) {
   }
   ASSERT_NE(map_stage, nullptr) << "no map stage with a shuffle summary";
   EXPECT_GE(map_stage->shuffle_id, 0);
-  EXPECT_LE(map_stage->shuffle.min_bytes, map_stage->shuffle.median_bytes);
-  EXPECT_LE(map_stage->shuffle.median_bytes, map_stage->shuffle.max_bytes);
+  EXPECT_LE(map_stage->shuffle.min_bytes, map_stage->shuffle.p50_bytes);
+  EXPECT_LE(map_stage->shuffle.p50_bytes, map_stage->shuffle.p95_bytes);
+  EXPECT_LE(map_stage->shuffle.p95_bytes, map_stage->shuffle.max_bytes);
   EXPECT_GT(map_stage->shuffle.total_bytes, 0u);
   EXPECT_GE(map_stage->shuffle.skew, 1.0);
 }
@@ -282,12 +283,23 @@ TEST(TraceCollectorTest, NestedBeginSharesOuterProfile) {
   EXPECT_TRUE(tc.BeginQuery(1.0));
   EXPECT_TRUE(tc.active());
   EXPECT_FALSE(tc.BeginQuery(2.0));  // nested: same profile, not owner
-  int outer = tc.BeginStage("outer", false, -1, 2.0);
-  int inner = tc.BeginStage("inner", true, 0, 2.5);
+  StageRecord outer_rec{.label = "outer", .start_time = 2.0};
+  StageRecord inner_rec{
+      .label = "inner", .is_map_stage = true, .shuffle_id = 0,
+      .start_time = 2.5};
+  int outer = tc.BeginStage(outer_rec);
+  int inner = tc.BeginStage(inner_rec);
   EXPECT_EQ(tc.stage(inner)->parent, outer);
-  tc.EndStage(inner, 3.0);
-  EXPECT_EQ(tc.last_ended_stage(), inner);
-  tc.EndStage(outer, 3.5);
+  EXPECT_EQ(tc.stage(inner)->shuffle_id, 0);
+  inner_rec.end_time = 3.0;
+  inner_rec.commits.push_back(StageCommit{0.5, 0, 1});
+  tc.EndStage(inner, inner_rec);
+  // Ending copies the final record in; the nesting stays the trace's own.
+  EXPECT_EQ(tc.stage(inner)->end_time, 3.0);
+  EXPECT_EQ(tc.stage(inner)->committed(), 1);
+  EXPECT_EQ(tc.stage(inner)->parent, outer);
+  outer_rec.end_time = 3.5;
+  tc.EndStage(outer, outer_rec);
   auto profile = tc.EndQuery(4.0);
   ASSERT_NE(profile, nullptr);
   EXPECT_FALSE(tc.active());
@@ -308,15 +320,21 @@ TEST(TraceUtilTest, WorkSummaryRendersNonzeroCounters) {
 }
 
 TEST(TraceUtilTest, SummarizeBucketBytes) {
-  ShuffleSizeSummary s = SummarizeBucketBytes({40, 10, 30, 20});
+  BucketSummary s = SummarizeBuckets({40, 10, 30, 20});
   EXPECT_EQ(s.buckets, 4);
   EXPECT_EQ(s.min_bytes, 10u);
+  EXPECT_EQ(s.p50_bytes, 30u);  // nearest rank: sorted[4 / 2]
+  EXPECT_EQ(s.p95_bytes, 40u);
   EXPECT_EQ(s.max_bytes, 40u);
   EXPECT_EQ(s.total_bytes, 100u);
   EXPECT_DOUBLE_EQ(s.skew, 40.0 / 25.0);
-  ShuffleSizeSummary empty = SummarizeBucketBytes({});
+  EXPECT_EQ(s.culprit, 0);
+  // Ties name the first fattest bucket.
+  EXPECT_EQ(SummarizeBuckets({5, 9, 9}).culprit, 1);
+  BucketSummary empty = SummarizeBuckets({});
   EXPECT_EQ(empty.buckets, 0);
   EXPECT_DOUBLE_EQ(empty.skew, 0.0);
+  EXPECT_EQ(empty.culprit, -1);
 }
 
 }  // namespace

@@ -22,7 +22,8 @@ echo "=== bench claims (every figure bench + the smokes, one gate) ==="
 # value, the shape each EXPERIMENTS.md row states (orderings and ratio
 # bands), and the serving, join, index and vectorized host-time floors. The
 # fig08 smoke runs twice, the second time on the scalar row path, and must
-# hit the same pins both times; its metrics timeline is schema-checked.
+# hit the same pins both times; both runs' metrics timelines are
+# schema-checked.
 bin="$PWD/build/bench"
 bench_out="$PWD/build/bench_out"  # trace and timeline files land here too
 rm -rf "$bench_out" && mkdir -p "$bench_out"
@@ -46,6 +47,7 @@ bench_log="$bench_out/bench.log"
   "$bin/bench_fig05_pavlo_scan_agg" --vector-smoke
 ) > "$bench_log"
 tools/bench_gate --validate-timeline "$bench_out/fig08_smoke_metrics.json"
+tools/bench_gate --validate-timeline "$bench_out/fig08_novec_metrics.json"
 tools/bench_gate --claims bench/claims.json --current "$bench_log"
 
 echo "=== differential fuzz (fixed seeds) ==="
