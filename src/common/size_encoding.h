@@ -15,6 +15,9 @@ namespace shark {
 /// round(base^(k-1)) bytes with base chosen so that code 255 = 32 GB.
 /// Consecutive codes then differ by a factor of base ≈ 1.1, i.e. the
 /// round-to-nearest-code relative error is <= (base-1)/2 + rounding < 10%.
+/// Both directions are lookups in tables built once from that log/exp
+/// formula (each code's first size, each code's value), so they give exactly
+/// what the formula gives.
 class SizeEncoding {
  public:
   /// Encodes `bytes` to the nearest 1-byte code.

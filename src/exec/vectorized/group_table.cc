@@ -252,8 +252,8 @@ size_t VecGroupTable::FindOrInsert(const Row& key, uint64_t hash) {
       [&](size_t k) { return KeyCell::Of(key.fields[k]); });
 }
 
-void VecGroupTable::MergeSlice(const GroupSlice& slice) {
-  const GroupBatch& src = *slice.batch;
+void VecGroupTable::MergeSlice(const ShuffleSlice& slice) {
+  const GroupBatch& src = slice.Batch<GroupBatch>();
   const GroupBatch& b = *batch_;
   const std::vector<uint32_t>& order = src.bucket_order();
   for (uint32_t i = slice.begin; i < slice.end; ++i) {
@@ -282,47 +282,31 @@ MapOutput LayOutGroupBatch(std::shared_ptr<GroupBatch> batch,
   const size_t groups = batch->size();
   const double byte_adjust =
       internal_shuffle::ChargeCombine(record_hashes, groups, tctx);
-  const auto nb = static_cast<size_t>(num_buckets);
+  const auto nb = static_cast<uint64_t>(num_buckets);
+  std::vector<uint32_t> bucket_of(groups);
+  std::vector<uint64_t> group_bytes(groups);  // read in order, summed by run
+  for (size_t g = 0; g < groups; ++g) {
+    bucket_of[g] = static_cast<uint32_t>(batch->hash(g) % nb);
+    group_bytes[g] = batch->GroupBytes(g);
+  }
   MapOutput out;
+  out.buckets = OrderByBucket(bucket_of, static_cast<uint32_t>(num_buckets),
+                              &batch->order_);
   out.on_disk = tctx->profile().shuffle_through_disk;
-  out.bucket_records.assign(nb, 0);
-  out.bucket_bytes.assign(nb, 0);  // exact bytes until adjusted below
-  out.bucket_cost_scale.assign(nb, byte_adjust);
-  out.buckets.assign(nb, nullptr);
-  // Stable counting sort by bucket: sizes, then each bucket's start.
+  out.cost_scale = byte_adjust;
   uint64_t raw_bytes = 0;  // resident combine-table size, unadjusted
-  size_t non_empty = 0;
-  for (size_t g = 0; g < groups; ++g) {
-    const size_t b = batch->hash(g) % nb;
-    const uint64_t bytes = batch->GroupBytes(g);
-    non_empty += out.bucket_records[b] == 0 ? 1 : 0;
-    out.bucket_records[b] += 1;
-    out.bucket_bytes[b] += bytes;
-    raw_bytes += bytes;
-  }
-  batch->slices_.reserve(non_empty);
-  std::vector<uint32_t> next(nb);  // fill position of each bucket
-  uint32_t start = 0;
-  for (size_t b = 0; b < nb; ++b) {
-    next[b] = start;
-    start += static_cast<uint32_t>(out.bucket_records[b]);
-  }
-  batch->order_.resize(groups);
-  for (size_t g = 0; g < groups; ++g) {
-    batch->order_[next[batch->hash(g) % nb]++] = static_cast<uint32_t>(g);
-  }
   uint64_t out_bytes = 0;
-  for (size_t b = 0; b < nb; ++b) {
-    const uint64_t adjusted = static_cast<uint64_t>(
-        static_cast<double>(out.bucket_bytes[b]) * byte_adjust);
-    out.bucket_bytes[b] = adjusted;
-    out_bytes += adjusted;
-    if (out.bucket_records[b] == 0) continue;
-    const uint32_t end = next[b];
-    const auto begin = static_cast<uint32_t>(end - out.bucket_records[b]);
-    batch->slices_.push_back(GroupSlice{batch.get(), begin, end});
-    out.buckets[b] = BlockData(batch, &batch->slices_.back());
+  for (MapBucket& run : out.buckets) {
+    uint64_t bytes = 0;
+    for (uint32_t i = run.begin; i < run.end; ++i) {
+      bytes += group_bytes[batch->order_[i]];
+    }
+    raw_bytes += bytes;
+    run.SetBytes(
+        static_cast<uint64_t>(static_cast<double>(bytes) * byte_adjust));
+    out_bytes += run.bytes;
   }
+  out.batch = std::move(batch);
   internal_shuffle::ChargeCombineOutput(raw_bytes, out_bytes, groups,
                                         record_hashes.size(), tctx);
   return out;

@@ -33,19 +33,6 @@ struct AggColumn {
   ConstAggCellRef At(size_t g) const;
 };
 
-class GroupBatch;
-
-/// The groups of one shuffle bucket: positions [begin, end) of the owning
-/// batch's bucket order. A MapOutput bucket is an aliasing pointer to one of
-/// these, sharing ownership of the whole batch.
-struct GroupSlice {
-  const GroupBatch* batch = nullptr;
-  uint32_t begin = 0;
-  uint32_t end = 0;
-
-  size_t size() const { return end - begin; }
-};
-
 /// A flat table of partial aggregates: typed key columns, typed per-call
 /// state columns and each group's key hash, groups in first-seen order. A
 /// map task fills one and ships it whole as its shuffle output; a reduce
@@ -97,7 +84,7 @@ class GroupBatch {
   Row FinalizeRow(size_t g) const;
 
   /// The shuffle layout set by LayOutGroupBatch: group indices in bucket
-  /// order, and one slice per non-empty bucket.
+  /// order.
   const std::vector<uint32_t>& bucket_order() const { return order_; }
 
  private:
@@ -113,7 +100,6 @@ class GroupBatch {
   std::vector<AggColumn> aggs_;
   std::vector<uint64_t> hashes_;
   std::vector<uint32_t> order_;
-  std::vector<GroupSlice> slices_;
 };
 
 /// Open-addressing hash index over a GroupBatch: maps group-key tuples to
@@ -131,9 +117,10 @@ class VecGroupTable {
   /// The group of a key row, inserted on first sight; `hash` is
   /// KeyHash(key).
   size_t FindOrInsert(const Row& key, uint64_t hash);
-  /// Merges every group of `slice`, in slice order: a group seen for the
-  /// first time is copied, a later one merged into it.
-  void MergeSlice(const GroupSlice& slice);
+  /// Merges every group of a fetched slice of a GroupBatch, in bucket
+  /// order: a group seen for the first time is copied, a later one merged
+  /// into it.
+  void MergeSlice(const ShuffleSlice& slice);
 
   size_t size() const { return batch_->size(); }
   GroupBatch& batch() { return *batch_; }
@@ -156,8 +143,8 @@ class VecGroupTable {
 /// first-seen order), pre-adjusts bucket bytes for cardinality-bounded
 /// output, reserves the combine table's working set and charges the
 /// map-output write — the same charges, bucket bytes, records and cost
-/// scales as combining the same groups as (key Row, AggState) pairs. Bucket
-/// b of the result aliases the batch; an empty bucket is nullptr.
+/// scale as combining the same groups as (key Row, AggState) pairs. The
+/// result's batch is `batch`; its buckets are ranges of bucket_order().
 MapOutput LayOutGroupBatch(std::shared_ptr<GroupBatch> batch,
                            const std::vector<uint64_t>& record_hashes,
                            int num_buckets, TaskContext* tctx);

@@ -53,49 +53,29 @@ void JoinBatch::AppendFields(size_t r, std::vector<Value>* out) const {
 MapOutput LayOutJoinBatch(std::shared_ptr<JoinBatch> batch, int num_buckets,
                           TaskContext* tctx) {
   const size_t n = batch->size();
-  const auto nb = static_cast<size_t>(num_buckets);
-  MapOutput out;
-  out.on_disk = tctx->profile().shuffle_through_disk;
-  out.bucket_records.assign(nb, 0);
-  out.bucket_bytes.assign(nb, 0);
-  out.buckets.assign(nb, nullptr);
-  // Plain repartitioning scales linearly with the input: exact bytes, no
-  // cost scale. Stable counting sort by bucket: sizes, then each bucket's
-  // start.
-  std::vector<uint64_t> key_bytes(nb, 0);
-  std::vector<uint32_t> bucket(n);
-  uint64_t total_bytes = 0;
-  size_t non_empty = 0;
+  const auto nb = static_cast<uint64_t>(num_buckets);
+  std::vector<uint32_t> bucket_of(n);
+  std::vector<uint64_t> row_bytes(n);  // read in order, summed by run
   for (size_t r = 0; r < n; ++r) {
-    const auto b = static_cast<uint32_t>(batch->hash(r) % nb);
-    bucket[r] = b;
-    const uint64_t kb = batch->KeyBytes(r);
-    const uint64_t bytes = kb + batch->RowBytes(r);
-    non_empty += out.bucket_records[b] == 0 ? 1 : 0;
-    out.bucket_records[b] += 1;
-    out.bucket_bytes[b] += bytes;
-    key_bytes[b] += kb;
+    bucket_of[r] = static_cast<uint32_t>(batch->hash(r) % nb);
+    row_bytes[r] = batch->KeyBytes(r) + batch->RowBytes(r);
+  }
+  // Plain repartitioning scales linearly with the input: exact bytes, no
+  // cost scale.
+  MapOutput out;
+  out.buckets = OrderByBucket(bucket_of, static_cast<uint32_t>(num_buckets),
+                              &batch->order_);
+  out.on_disk = tctx->profile().shuffle_through_disk;
+  uint64_t total_bytes = 0;
+  for (MapBucket& run : out.buckets) {
+    uint64_t bytes = 0;
+    for (uint32_t i = run.begin; i < run.end; ++i) {
+      bytes += row_bytes[batch->order_[i]];
+    }
+    run.SetBytes(bytes);
     total_bytes += bytes;
   }
-  std::vector<uint32_t> next(nb);  // fill position of each bucket
-  uint32_t start = 0;
-  for (size_t b = 0; b < nb; ++b) {
-    next[b] = start;
-    start += static_cast<uint32_t>(out.bucket_records[b]);
-  }
-  batch->order_.resize(n);
-  for (size_t r = 0; r < n; ++r) {
-    batch->order_[next[bucket[r]]++] = static_cast<uint32_t>(r);
-  }
-  batch->slices_.reserve(non_empty);
-  for (size_t b = 0; b < nb; ++b) {
-    if (out.bucket_records[b] == 0) continue;
-    const uint32_t end = next[b];
-    const auto begin = static_cast<uint32_t>(end - out.bucket_records[b]);
-    batch->slices_.push_back(JoinSlice{batch.get(), begin, end,
-                                       out.bucket_bytes[b], key_bytes[b]});
-    out.buckets[b] = BlockData(batch, &batch->slices_.back());
-  }
+  out.batch = std::move(batch);
   tctx->work().rows_processed += n;
   internal_shuffle::ChargeMapOutputWrite(total_bytes, n, n, tctx);
   return out;

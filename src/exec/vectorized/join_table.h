@@ -19,15 +19,17 @@ namespace vec {
 class JoinBatch;
 
 /// The rows of one shuffle bucket: positions [begin, end) of the owning
-/// batch's bucket order, with their bytes as (key Row, Row) pairs and the key
-/// Rows' share of those bytes. A MapOutput bucket is an aliasing pointer to
-/// one of these, sharing ownership of the whole batch.
+/// batch's bucket order, with their bytes as (key Row, Row) pairs, as a
+/// fetched ShuffleSlice names them.
 struct JoinSlice {
   const JoinBatch* batch = nullptr;
   uint32_t begin = 0;
   uint32_t end = 0;
   uint64_t bytes = 0;
-  uint64_t key_bytes = 0;
+
+  explicit JoinSlice(const ShuffleSlice& s)
+      : batch(&s.Batch<JoinBatch>()), begin(s.begin), end(s.end),
+        bytes(s.bytes) {}
 
   size_t size() const { return end - begin; }
   /// The batch row at position i of the slice.
@@ -82,7 +84,6 @@ class JoinBatch {
   std::string chars_;
   std::vector<uint64_t> hashes_;
   std::vector<uint32_t> order_;
-  std::vector<JoinSlice> slices_;
 };
 
 inline uint32_t JoinSlice::row(size_t i) const {
@@ -90,9 +91,9 @@ inline uint32_t JoinSlice::row(size_t i) const {
 }
 
 /// The map-side tail of the shuffle join: lays the batch out by bucket with
-/// a stable counting sort and makes the charges, bucket bytes and records of
-/// hash-partitioning the same rows as (key Row, Row) pairs. Bucket b of the
-/// result aliases the batch; an empty bucket is nullptr.
+/// a stable sort and makes the charges, bucket bytes and records of
+/// hash-partitioning the same rows as (key Row, Row) pairs. The result's
+/// batch is `batch`; its buckets are ranges of bucket_order().
 MapOutput LayOutJoinBatch(std::shared_ptr<JoinBatch> batch, int num_buckets,
                           TaskContext* tctx);
 

@@ -457,7 +457,7 @@ class AggReduceRdd final : public TypedRdd<Row> {
 
   Block Compute(int p, TaskContext* tctx) const override {
     double effective_records = 0.0;
-    std::vector<BlockData> buckets = tctx->FetchShuffleBuckets(
+    std::vector<ShuffleSlice> slices = tctx->FetchShuffleBuckets(
         dep_->shuffle_id(), assignment_[static_cast<size_t>(p)],
         &effective_records);
     // Per-record reduce charges use the cardinality-adjusted record count so
@@ -466,10 +466,9 @@ class AggReduceRdd final : public TypedRdd<Row> {
     tctx->work().rows_processed += static_cast<uint64_t>(effective_records);
     VecGroupTable table(calls_, num_keys_);
     uint64_t records_in = 0;
-    for (const BlockData& b : buckets) {
-      const auto& slice = *static_cast<const GroupSlice*>(b.get());
-      records_in += slice.size();
-      table.MergeSlice(slice);
+    for (const ShuffleSlice& s : slices) {
+      records_in += s.size();
+      table.MergeSlice(s);
     }
     const GroupBatch& merged = table.batch();
     // The merge table and the reduce output hold one record per key —
@@ -532,10 +531,6 @@ class RowJoinShuffleDep final : public ShuffleDependency {
   std::shared_ptr<const std::vector<CompiledExpr>> keys_;
 };
 
-const JoinSlice& AsJoinSlice(const BlockData& bucket) {
-  return *static_cast<const JoinSlice*>(bucket.get());
-}
-
 /// Reduce side of the shuffle join (see BuildJoinReduce).
 class JoinReduceRdd final : public TypedRdd<Row> {
  public:
@@ -560,27 +555,25 @@ class JoinReduceRdd final : public TypedRdd<Row> {
 
   Block Compute(int p, TaskContext* tctx) const override {
     const auto& my_buckets = assignment_[static_cast<size_t>(p)];
-    std::vector<BlockData> lbs =
+    std::vector<ShuffleSlice> lbs =
         tctx->FetchShuffleBuckets(left_->shuffle_id(), my_buckets);
-    std::vector<BlockData> rbs =
+    std::vector<ShuffleSlice> rbs =
         tctx->FetchShuffleBuckets(right_->shuffle_id(), my_buckets);
     JoinHashTable table;
     size_t rows = 0;
     for (const auto* side : {&lbs, &rbs}) {
-      for (const BlockData& b : *side) rows += AsJoinSlice(b).size();
+      for (const ShuffleSlice& s : *side) rows += s.size();
     }
     table.Reserve(rows);
-    uint64_t row_bytes = 0;  // ApproxSizeOf of every fetched Row
     // Chains one side's slices; returns (working-set bytes, records).
-    auto chain = [&](const std::vector<BlockData>& slices, int side) {
+    auto chain = [&](const std::vector<ShuffleSlice>& slices, int side) {
       uint64_t bytes = 0, records = 0;
-      for (const BlockData& b : slices) {
-        const JoinSlice& slice = AsJoinSlice(b);
+      for (const ShuffleSlice& s : slices) {
+        const JoinSlice slice(s);
         tctx->work().hash_records += slice.size();
         tctx->work().rows_processed += slice.size();
         bytes += slice.bytes;
         records += slice.size();
-        row_bytes += slice.bytes - slice.key_bytes;
         for (size_t i = 0; i < slice.size(); ++i) {
           table.Insert(*slice.batch, slice.row(i), side);
         }
@@ -599,9 +592,17 @@ class JoinReduceRdd final : public TypedRdd<Row> {
     tctx->work().rows_processed += table.num_keys();
     tctx->ReleaseAllWorkingSet();
     if (tctx->profile().materialize_stages_to_dfs) {
-      // The co-group a MapReduce chain materializes: each key Row with its
-      // two row vectors.
-      uint64_t cogroup_bytes = row_bytes;
+      // The co-group a MapReduce chain materializes: every fetched Row, and
+      // each key Row with its two row vectors.
+      uint64_t cogroup_bytes = 0;
+      for (const auto* side : {&lbs, &rbs}) {
+        for (const ShuffleSlice& s : *side) {
+          const JoinSlice slice(s);
+          for (size_t i = 0; i < slice.size(); ++i) {
+            cogroup_bytes += slice.batch->RowBytes(slice.row(i));
+          }
+        }
+      }
       for (uint32_t k = 0; k < table.num_keys(); ++k) {
         const JoinRowRef& key = table.key_row(k);
         cogroup_bytes += key.batch->KeyBytes(key.row) + 2 * 24;
@@ -676,9 +677,9 @@ class JoinGatherRdd final : public TypedRdd<Row> {
     std::iota(all.begin(), all.end(), 0);
     Block out;
     uint64_t bytes = 0;
-    for (const BlockData& b :
+    for (const ShuffleSlice& s :
          tctx->FetchShuffleBuckets(dep_->shuffle_id(), all)) {
-      const JoinSlice& slice = AsJoinSlice(b);
+      const JoinSlice slice(s);
       bytes += slice.bytes;
       for (size_t i = 0; i < slice.size(); ++i) {
         Row row;

@@ -162,10 +162,25 @@ class ClusterContext {
   Result<std::vector<T>> Collect(const std::shared_ptr<R>& rdd) {
     SHARK_ASSIGN_OR_RETURN(std::vector<BlockData> blocks,
                            scheduler_->RunJob(rdd));
-    std::vector<T> out;
+    size_t total = 0;
     for (const BlockData& b : blocks) {
-      auto vec = std::static_pointer_cast<const std::vector<T>>(b);
-      out.insert(out.end(), vec->begin(), vec->end());
+      total += static_cast<const std::vector<T>*>(b.get())->size();
+    }
+    std::vector<T> out;
+    out.reserve(total);
+    for (BlockData& b : blocks) {
+      const auto* vec = static_cast<const std::vector<T>*>(b.get());
+      if (b.use_count() == 1) {
+        // Only this job holds the block (TypedRdd::ComputeShared makes it
+        // a non-const vector): move its elements out.
+        auto* owned = const_cast<std::vector<T>*>(vec);
+        out.insert(out.end(), std::make_move_iterator(owned->begin()),
+                   std::make_move_iterator(owned->end()));
+      } else {
+        // Shared, e.g. with the block cache: copy.
+        out.insert(out.end(), vec->begin(), vec->end());
+      }
+      b = nullptr;
     }
     return out;
   }

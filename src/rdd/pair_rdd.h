@@ -97,25 +97,29 @@ class PlainShuffleDep final : public ShuffleDependency {
   MapOutput PartitionBlock(const BlockData& block,
                            TaskContext* tctx) const override {
     const auto& in = *std::static_pointer_cast<const std::vector<T>>(block);
-    std::vector<std::vector<T>> buckets(static_cast<size_t>(num_buckets_));
-    for (const T& x : in) {
-      int b = bucket_fn_(x);
-      buckets[static_cast<size_t>(b)].push_back(x);
+    std::vector<uint32_t> bucket_of(in.size());
+    for (size_t i = 0; i < in.size(); ++i) {
+      bucket_of[i] = static_cast<uint32_t>(bucket_fn_(in[i]));
     }
-    tctx->work().rows_processed += in.size();
-    internal_shuffle::ChargeMapOutputWrite(ApproxSizeOfRange(in), in.size(),
-                                           in.size(), tctx);
+    std::vector<uint32_t> order;
     MapOutput out;
+    out.buckets = OrderByBucket(bucket_of,
+                                static_cast<uint32_t>(num_buckets_), &order);
+    auto batch = std::make_shared<std::vector<T>>();
+    batch->reserve(in.size());
+    for (uint32_t i : order) batch->push_back(in[i]);
     out.on_disk = tctx->profile().shuffle_through_disk;
-    out.buckets.reserve(buckets.size());
-    for (auto& b : buckets) {
+    uint64_t total_bytes = 0;
+    for (MapBucket& run : out.buckets) {
       // Plain repartitioning scales linearly with the input: no adjustment.
-      out.bucket_bytes.push_back(ApproxSizeOfRange(b));
-      out.bucket_records.push_back(b.size());
-      out.buckets.push_back(
-          b.empty() ? nullptr
-                    : std::make_shared<const std::vector<T>>(std::move(b)));
+      run.SetBytes(ApproxSizeOfRange(
+          std::span<const T>(batch->data() + run.begin, run.records())));
+      total_bytes += run.bytes;
     }
+    out.batch = std::move(batch);
+    tctx->work().rows_processed += in.size();
+    internal_shuffle::ChargeMapOutputWrite(total_bytes, in.size(), in.size(),
+                                           tctx);
     return out;
   }
 
@@ -178,32 +182,31 @@ class CombiningShuffleDep final : public ShuffleDependency {
     const double byte_adjust =
         internal_shuffle::ChargeCombine(record_hashes, distinct, tctx);
     // Bucket by key hash; each bucket keeps first-seen order.
-    std::vector<std::vector<std::pair<K, C>>> buckets(
-        static_cast<size_t>(num_buckets_));
+    std::vector<uint32_t> bucket_of(groups.size());
     for (size_t g = 0; g < groups.size(); ++g) {
-      auto b = static_cast<size_t>(group_hashes[g] %
-                                   static_cast<uint64_t>(num_buckets_));
-      buckets[b].push_back(std::move(groups[g]));
+      bucket_of[g] = static_cast<uint32_t>(
+          group_hashes[g] % static_cast<uint64_t>(num_buckets_));
     }
+    std::vector<uint32_t> order;
     MapOutput out;
+    out.buckets = OrderByBucket(bucket_of,
+                                static_cast<uint32_t>(num_buckets_), &order);
+    auto batch = std::make_shared<std::vector<std::pair<K, C>>>();
+    batch->reserve(groups.size());
+    for (uint32_t g : order) batch->push_back(std::move(groups[g]));
     out.on_disk = tctx->profile().shuffle_through_disk;
-    out.buckets.reserve(buckets.size());
+    out.cost_scale = byte_adjust;
     uint64_t out_bytes = 0;
     uint64_t raw_bytes = 0;  // resident combine-table size, unadjusted
-    for (auto& bucket : buckets) {
-      const uint64_t bytes = ApproxSizeOfRange(bucket);
+    for (MapBucket& run : out.buckets) {
+      const uint64_t bytes = ApproxSizeOfRange(std::span<const std::pair<K, C>>(
+          batch->data() + run.begin, run.records()));
       raw_bytes += bytes;
-      const auto adjusted =
-          static_cast<uint64_t>(static_cast<double>(bytes) * byte_adjust);
-      out_bytes += adjusted;
-      out.bucket_bytes.push_back(adjusted);
-      out.bucket_records.push_back(bucket.size());
-      out.bucket_cost_scale.push_back(byte_adjust);
-      out.buckets.push_back(
-          bucket.empty() ? nullptr
-                         : std::make_shared<const std::vector<std::pair<K, C>>>(
-                               std::move(bucket)));
+      run.SetBytes(
+          static_cast<uint64_t>(static_cast<double>(bytes) * byte_adjust));
+      out_bytes += run.bytes;
     }
+    out.batch = std::move(batch);
     internal_shuffle::ChargeCombineOutput(raw_bytes, out_bytes, distinct,
                                           in.size(), tctx);
     return out;
@@ -282,7 +285,7 @@ class ShuffledReduceRdd final : public TypedRdd<std::pair<K, C>> {
   typename TypedRdd<std::pair<K, C>>::Block Compute(
       int p, TaskContext* tctx) const override {
     double effective_records = 0.0;
-    std::vector<BlockData> buckets = tctx->FetchShuffleBuckets(
+    std::vector<ShuffleSlice> slices = tctx->FetchShuffleBuckets(
         dep_->shuffle_id(), assignment_[static_cast<size_t>(p)],
         &effective_records);
     // Keys in first-seen (fetch) order with their merged combiners: the
@@ -294,11 +297,10 @@ class ShuffledReduceRdd final : public TypedRdd<std::pair<K, C>> {
     // that the cost model's uniform scaling stays faithful.
     tctx->work().hash_records += static_cast<uint64_t>(effective_records);
     tctx->work().rows_processed += static_cast<uint64_t>(effective_records);
-    for (const BlockData& b : buckets) {
-      const auto& vec =
-          *std::static_pointer_cast<const std::vector<std::pair<K, C>>>(b);
-      records_in += vec.size();
-      for (const auto& kc : vec) {
+    for (const ShuffleSlice& s : slices) {
+      const auto records = s.Records<std::pair<K, C>>();
+      records_in += records.size();
+      for (const auto& kc : records) {
         auto [i, fresh] = index.FindOrAppend(kc.first, [&] { return kc; });
         if (!fresh) merge_(out[i].second, kc.second);
       }
@@ -347,17 +349,17 @@ class ShuffledGroupRdd final
 
   typename TypedRdd<std::pair<K, std::vector<V>>>::Block Compute(
       int p, TaskContext* tctx) const override {
-    std::vector<BlockData> buckets = tctx->FetchShuffleBuckets(
+    std::vector<ShuffleSlice> slices = tctx->FetchShuffleBuckets(
         dep_->shuffle_id(), assignment_[static_cast<size_t>(p)]);
     typename TypedRdd<std::pair<K, std::vector<V>>>::Block out;
     FirstSeenIndex index(&out);
     uint64_t records_in = 0;
-    for (const BlockData& b : buckets) {
-      auto vec = std::static_pointer_cast<const std::vector<std::pair<K, V>>>(b);
-      tctx->work().hash_records += vec->size();
-      tctx->work().rows_processed += vec->size();
-      records_in += vec->size();
-      for (const auto& [k, v] : *vec) {
+    for (const ShuffleSlice& s : slices) {
+      const auto records = s.Records<std::pair<K, V>>();
+      tctx->work().hash_records += records.size();
+      tctx->work().rows_processed += records.size();
+      records_in += records.size();
+      for (const auto& [k, v] : records) {
         auto make = [&] { return std::make_pair(k, std::vector<V>()); };
         out[index.FindOrAppend(k, make).first].second.push_back(v);
       }
@@ -403,9 +405,9 @@ class CoGroupedRdd final
   typename TypedRdd<Element>::Block Compute(int p,
                                             TaskContext* tctx) const override {
     const auto& my_buckets = assignment_[static_cast<size_t>(p)];
-    std::vector<BlockData> lbs =
+    std::vector<ShuffleSlice> lbs =
         tctx->FetchShuffleBuckets(left_->shuffle_id(), my_buckets);
-    std::vector<BlockData> rbs =
+    std::vector<ShuffleSlice> rbs =
         tctx->FetchShuffleBuckets(right_->shuffle_id(), my_buckets);
     typename TypedRdd<Element>::Block out;
     FirstSeenIndex index(&out);
@@ -414,26 +416,26 @@ class CoGroupedRdd final
           .second;
     };
     uint64_t left_ws = 0, left_records = 0;
-    for (const BlockData& b : lbs) {
-      auto vec = std::static_pointer_cast<const std::vector<std::pair<K, V>>>(b);
-      tctx->work().hash_records += vec->size();
-      tctx->work().rows_processed += vec->size();
-      left_ws += ApproxSizeOfRange(*vec);
-      left_records += vec->size();
-      for (const auto& [k, v] : *vec) group(k).first.push_back(v);
+    for (const ShuffleSlice& s : lbs) {
+      const auto records = s.Records<std::pair<K, V>>();
+      tctx->work().hash_records += records.size();
+      tctx->work().rows_processed += records.size();
+      left_ws += ApproxSizeOfRange(records);
+      left_records += records.size();
+      for (const auto& [k, v] : records) group(k).first.push_back(v);
     }
     // Join build table: reserve the left side, then grow by the right side;
     // whichever extension overruns the task's budget degrades to grace-hash
     // spill partitions.
     tctx->ReserveOrSpillHash(left_ws, left_records);
     uint64_t right_ws = 0, right_records = 0;
-    for (const BlockData& b : rbs) {
-      auto vec = std::static_pointer_cast<const std::vector<std::pair<K, W>>>(b);
-      tctx->work().hash_records += vec->size();
-      tctx->work().rows_processed += vec->size();
-      right_ws += ApproxSizeOfRange(*vec);
-      right_records += vec->size();
-      for (const auto& [k, w] : *vec) group(k).second.push_back(w);
+    for (const ShuffleSlice& s : rbs) {
+      const auto records = s.Records<std::pair<K, W>>();
+      tctx->work().hash_records += records.size();
+      tctx->work().rows_processed += records.size();
+      right_ws += ApproxSizeOfRange(records);
+      right_records += records.size();
+      for (const auto& [k, w] : records) group(k).second.push_back(w);
     }
     tctx->GrowOrSpillHash(right_ws, right_records);
     tctx->ReleaseAllWorkingSet();
@@ -464,12 +466,11 @@ class RepartitionedRdd final : public TypedRdd<T> {
   }
 
   typename TypedRdd<T>::Block Compute(int p, TaskContext* tctx) const override {
-    std::vector<BlockData> buckets = tctx->FetchShuffleBuckets(
-        dep_->shuffle_id(), assignment_[static_cast<size_t>(p)]);
     typename TypedRdd<T>::Block out;
-    for (const BlockData& b : buckets) {
-      auto vec = std::static_pointer_cast<const std::vector<T>>(b);
-      out.insert(out.end(), vec->begin(), vec->end());
+    for (const ShuffleSlice& s : tctx->FetchShuffleBuckets(
+             dep_->shuffle_id(), assignment_[static_cast<size_t>(p)])) {
+      const auto records = s.Records<T>();
+      out.insert(out.end(), records.begin(), records.end());
     }
     tctx->work().rows_processed += out.size();
     internal_shuffle::ChargeStageMaterialization(ApproxSizeOfRange(out), tctx);

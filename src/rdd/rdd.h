@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -53,10 +54,15 @@ uint64_t ApproxSizeOf(const std::vector<T>& v) {
 }
 
 template <typename T>
-uint64_t ApproxSizeOfRange(const std::vector<T>& v) {
+uint64_t ApproxSizeOfRange(std::span<const T> v) {
   uint64_t total = 0;
   for (const T& x : v) total += ApproxSizeOf(x);
   return total;
+}
+
+template <typename T>
+uint64_t ApproxSizeOfRange(const std::vector<T>& v) {
+  return ApproxSizeOfRange(std::span<const T>(v));
 }
 
 // ---------------------------------------------------------------------------
@@ -106,8 +112,9 @@ class ShuffleDependency {
   const std::shared_ptr<RddBase>& parent() const { return parent_; }
 
   /// Splits one parent block into `num_buckets` buckets, charging map-side
-  /// costs (combine hashing, optional sort, shuffle write). Fills the
-  /// MapOutput's buckets plus their byte/record metadata; byte sizes of
+  /// costs (combine hashing, optional sort, shuffle write). Lays the records
+  /// out by bucket in the MapOutput's batch and lists its non-empty buckets
+  /// with their byte/record metadata; byte sizes of
   /// cardinality-bounded (combined) outputs are pre-adjusted with the
   /// distinct-growth estimator so that the cost model's uniform virtual
   /// scaling yields faithful shuffle volumes.
@@ -239,7 +246,9 @@ class TypedRdd : public RddBase {
   /// copying (e.g. DFS blocks). Default materializes via Compute.
   virtual std::shared_ptr<const Block> ComputeShared(int p,
                                                      TaskContext* tctx) const {
-    return std::make_shared<const Block>(Compute(p, tctx));
+    // A non-const object: Collect may move the elements out of a block
+    // that only its job still holds.
+    return std::make_shared<Block>(Compute(p, tctx));
   }
 
   /// Typed view of RddBase::GetOrComputeErased.

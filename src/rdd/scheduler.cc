@@ -61,11 +61,12 @@ struct TaskSetState {
   /// (partition, shared state frozen at the current epoch, per-task rng
   /// seed), so they can be computed on worker threads ahead of virtual-time
   /// placement; outcomes computed under an older epoch are discarded and
-  /// recomputed inline at launch.
+  /// recomputed inline at launch. A launch takes the outcome out of its
+  /// slot.
   struct TaskSlot {
     DagScheduler::TaskOutcome outcome;
     std::exception_ptr error;
-    long epoch = -1;  // epoch the outcome reflects; -1 = not yet computed
+    long epoch = -1;  // epoch the outcome reflects; -1 = none held
     size_t batch_index = 0;
     bool submitted = false;
   };
@@ -245,8 +246,8 @@ Status DagScheduler::RunMapTasks(const std::shared_ptr<ShuffleDependency>& dep,
     TaskOutcome o;
     BlockData parent_block = dep->parent()->GetOrComputeErased(p, tctx);
     o.map_output = dep->PartitionBlock(parent_block, tctx);
-    for (uint64_t r : o.map_output.bucket_records) o.rows_out += r;
-    for (uint64_t b : o.map_output.bucket_bytes) o.bytes_out += b;
+    o.rows_out = o.map_output.records();
+    o.bytes_out = o.map_output.bytes();
     return o;
   };
   auto commit = [&](int i, TaskOutcome&& o, int node) {
@@ -422,9 +423,11 @@ void DagScheduler::ComputeSlot(TaskSetState* set, int task, long at_epoch) {
 
 Status DagScheduler::ObtainOutcome(TaskSetState* set, int task,
                                    TaskOutcome* out) {
-  // Produces `task`'s outcome: the precomputed one if still current, else
-  // computed inline right now (serial mode, or stale after an epoch bump).
-  // Copies out so a speculative duplicate can consume it again.
+  // Hands `task`'s outcome over to the launching attempt: the precomputed
+  // one if still current, else computed inline right now (serial mode,
+  // stale after an epoch bump, or already handed to an earlier attempt).
+  // A speculative duplicate at the same epoch thus recomputes the outcome
+  // its original took; bodies are pure at an epoch, so the two are equal.
   TaskSetState::TaskSlot& slot = set->slots[static_cast<size_t>(task)];
   if (slot.submitted) set->batch->Wait(slot.batch_index);
   if (slot.epoch != epoch_) ComputeSlot(set, task, epoch_);
@@ -438,7 +441,9 @@ Status DagScheduler::ObtainOutcome(TaskSetState* set, int task,
       return Status::ExecutionError("task body threw");
     }
   }
-  *out = slot.outcome;
+  *out = std::move(slot.outcome);
+  slot.outcome = TaskOutcome{};
+  slot.epoch = -1;  // handed over
   return Status::OK();
 }
 

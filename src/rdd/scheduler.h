@@ -171,8 +171,8 @@ class DagScheduler {
   /// placement on any host thread; everything that depends on the eventual
   /// (node, launch order) — conditional read costs, the per-node broadcast
   /// paid-set, and cache mutations — is carried alongside and resolved by
-  /// the scheduler at launch/commit time. Copyable: a speculative duplicate
-  /// launch reuses the same outcome under different placement.
+  /// the scheduler at launch/commit time. Moved, never copied: the slot
+  /// hands it to the launching attempt (ObtainOutcome).
   struct TaskOutcome {
     BlockData block;                  // result-stage payload
     MapOutput map_output;             // map-stage payload

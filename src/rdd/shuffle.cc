@@ -1,10 +1,72 @@
 #include "rdd/shuffle.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "common/size_encoding.h"
 #include "mem/memory_manager.h"
 
 namespace shark {
+
+void MapBucket::SetBytes(uint64_t b) {
+  bytes = b;
+  size_code = SizeEncoding::Encode(b);
+}
+
+uint64_t MapOutput::records() const {
+  uint64_t total = 0;
+  for (const MapBucket& b : buckets) total += b.records();
+  return total;
+}
+
+uint64_t MapOutput::bytes() const {
+  uint64_t total = 0;
+  for (const MapBucket& b : buckets) total += b.bytes;
+  return total;
+}
+
+std::vector<MapBucket> OrderByBucket(const std::vector<uint32_t>& bucket_of,
+                                     uint32_t num_buckets,
+                                     std::vector<uint32_t>* order) {
+  const size_t n = bucket_of.size();
+  SHARK_CHECK(n <= UINT32_MAX);
+  order->resize(n);
+  std::vector<MapBucket> runs;
+  if (n * 8 < num_buckets) {
+    // Few records: sort (bucket, index) keys; the index makes it stable.
+    runs.reserve(n);
+    std::vector<uint64_t> keys(n);
+    for (size_t i = 0; i < n; ++i) {
+      keys[i] = uint64_t{bucket_of[i]} << 32 | i;
+    }
+    std::sort(keys.begin(), keys.end());
+    for (size_t i = 0; i < n; ++i) {
+      (*order)[i] = static_cast<uint32_t>(keys[i]);
+      const auto b = static_cast<uint32_t>(keys[i] >> 32);
+      if (runs.empty() || runs.back().bucket != b) {
+        runs.push_back(MapBucket{b, static_cast<uint32_t>(i), 0, 0, 0});
+      }
+      runs.back().end = static_cast<uint32_t>(i + 1);
+    }
+    return runs;
+  }
+  // Many records: counting sort over the buckets.
+  std::vector<uint32_t> next(num_buckets, 0);  // sizes, then fill positions
+  size_t non_empty = 0;
+  for (uint32_t b : bucket_of) non_empty += next[b]++ == 0 ? 1 : 0;
+  runs.reserve(non_empty);
+  uint32_t start = 0;
+  for (uint32_t b = 0; b < num_buckets; ++b) {
+    const uint32_t size = next[b];
+    if (size > 0) runs.push_back(MapBucket{b, start, start + size, 0, 0});
+    next[b] = start;
+    start += size;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    (*order)[next[bucket_of[i]]++] = static_cast<uint32_t>(i);
+  }
+  return runs;
+}
 
 int ShuffleManager::RegisterShuffle(int num_map_partitions, int num_buckets) {
   SHARK_CHECK(num_map_partitions > 0 && num_buckets > 0);
@@ -45,17 +107,23 @@ void ShuffleManager::PutMapOutput(int shuffle_id, int map_partition,
   ShuffleState& state = it->second;
   auto& slot = state.outputs[static_cast<size_t>(map_partition)];
   bool recorded = state.stats_recorded[static_cast<size_t>(map_partition)] != 0;
-  // Fold this task's sizes into the master's statistics. Sizes pass through
-  // the lossy 1-byte log encoding (§3.1), so the optimizer sees what a real
-  // Shark master would see. A re-execution after failure does not double
-  // count.
+  // Fold this task's sizes into the master's statistics. The task reported
+  // each bucket's size as its lossy 1-byte log code (§3.1), so the optimizer
+  // sees what a real Shark master would see. A re-execution after failure
+  // does not double count.
+  for (size_t i = 0; i < output.buckets.size(); ++i) {
+    const MapBucket& b = output.buckets[i];
+    SHARK_CHECK(b.begin < b.end &&
+                static_cast<int>(b.bucket) < state.num_buckets &&
+                (i == 0 || output.buckets[i - 1].bucket < b.bucket));
+  }
   if (!recorded) {
-    for (size_t b = 0; b < output.bucket_bytes.size(); ++b) {
-      uint64_t approx = SizeEncoding::Decode(SizeEncoding::Encode(output.bucket_bytes[b]));
-      state.stats.bucket_bytes[b] += approx;
+    for (const MapBucket& b : output.buckets) {
+      const uint64_t approx = SizeEncoding::Decode(b.size_code);
+      state.stats.bucket_bytes[b.bucket] += approx;
       state.stats.total_bytes += approx;
-      state.stats.bucket_records[b] += output.bucket_records[b];
-      state.stats.total_records += output.bucket_records[b];
+      state.stats.bucket_records[b.bucket] += b.records();
+      state.stats.total_records += b.records();
     }
     state.stats_recorded[static_cast<size_t>(map_partition)] = 1;
   }
@@ -65,17 +133,9 @@ void ShuffleManager::PutMapOutput(int shuffle_id, int map_partition,
   // first.
   ReleaseLedger(&slot);
   output.present = true;
-  output.nonempty.assign((output.bucket_bytes.size() + 63) / 64, 0);
-  for (size_t b = 0; b < output.bucket_bytes.size(); ++b) {
-    if (output.bucket_bytes[b] != 0 || output.bucket_records[b] != 0) {
-      output.nonempty[b / 64] |= uint64_t{1} << (b % 64);
-    }
-  }
   if (!output.on_disk && memory_manager_ != nullptr) {
-    uint64_t total = 0;
-    for (uint64_t b : output.bucket_bytes) total += b;
-    output.ledger_bytes = total;
-    memory_manager_->AddShuffleBytes(output.node, total);
+    output.ledger_bytes = output.bytes();
+    memory_manager_->AddShuffleBytes(output.node, output.ledger_bytes);
   } else {
     output.ledger_bytes = 0;
   }
@@ -129,6 +189,7 @@ void ShuffleManager::DropNode(int node) {
       if (out.present && out.node == node) {
         ReleaseLedger(&out);
         out.present = false;
+        out.batch = nullptr;
         out.buckets.clear();
       }
     }

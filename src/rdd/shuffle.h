@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -15,11 +16,12 @@ namespace shark {
 class MemoryManager;
 
 /// Statistics the master aggregates from map tasks at a shuffle boundary —
-/// the raw material for Partial DAG Execution (§3.1). Bucket byte sizes pass
-/// through the 1-byte lossy logarithmic encoding before aggregation, exactly
-/// as the paper bounds per-task statistics reports to 1-2 KB. Every PDE
-/// decision (reducer count, join strategy, skew report) reads only these
-/// sizes; key sketches are ANALYZE table statistics (sql/stats).
+/// the raw material for Partial DAG Execution (§3.1). Each map task reports
+/// its buckets' byte sizes in the 1-byte lossy logarithmic encoding, exactly
+/// as the paper bounds per-task statistics reports to 1-2 KB, and the master
+/// sums the decoded sizes. Every PDE decision (reducer count, join strategy,
+/// skew report) reads only these sizes; key sketches are ANALYZE table
+/// statistics (sql/stats).
 struct ShuffleStats {
   std::vector<uint64_t> bucket_bytes;    // per fine-grained reduce bucket
   std::vector<uint64_t> bucket_records;
@@ -27,20 +29,40 @@ struct ShuffleStats {
   uint64_t total_records = 0;
 };
 
-/// Output of one map task of a shuffle: one bucket per fine-grained reduce
-/// partition, resident on the node that ran the map task (in memory for
-/// Shark, on local disk for Hadoop — the profile decides the fetch cost). An
-/// empty bucket is stored as nullptr, with 0 bytes and 0 records.
+/// One non-empty bucket of a map output: records [begin, end) of the
+/// output's batch, its bytes, and the 1-byte size code the map task reports
+/// to the master (§3.1).
+struct MapBucket {
+  uint32_t bucket = 0;  // fine-grained reduce bucket
+  uint32_t begin = 0;
+  uint32_t end = 0;
+  uint8_t size_code = 0;  // SizeEncoding::Encode(bytes)
+  uint64_t bytes = 0;
+
+  uint64_t records() const { return end - begin; }
+  /// Sets the bucket's bytes and the size code the task reports for them.
+  void SetBytes(uint64_t b);
+};
+
+/// Output of one map task of a shuffle, resident on the node that ran the
+/// map task (in memory for Shark, on local disk for Hadoop — the profile
+/// decides the fetch cost). Compact: one batch holds every record, grouped
+/// by bucket, and only the non-empty buckets are listed, as index ranges
+/// into it. Its size therefore follows the data the task produced, not the
+/// fine-grained bucket count.
 struct MapOutput {
   bool present = false;
   int node = -1;
-  std::vector<BlockData> buckets;
-  std::vector<uint64_t> bucket_bytes;
-  std::vector<uint64_t> bucket_records;
+  /// The task's records in bucket order. Its type is the dependency's
+  /// business; its reduce side reads it back (ShuffleSlice).
+  BlockData batch;
+  /// The non-empty buckets, in ascending bucket order (OrderByBucket's
+  /// runs, with their bytes set).
+  std::vector<MapBucket> buckets;
   /// Multiplier translating real per-record reduce-side charges into
   /// faithful virtual charges for cardinality-bounded (combined) outputs;
-  /// empty means 1.0 (linear scaling is already correct).
-  std::vector<double> bucket_cost_scale;
+  /// 1.0 when linear scaling is already correct.
+  double cost_scale = 1.0;
   /// Serving mode (§5's memory-based shuffle knob, now per output): false =
   /// buckets stay in the map node's memory and fetches cost mem/net; true =
   /// buckets live on local disk (the Hadoop profile's global default, or a
@@ -49,10 +71,40 @@ struct MapOutput {
   /// Bytes this output charges to the node's shuffle-buffer ledger while
   /// resident in memory (0 when on_disk). Managed by ShuffleManager.
   uint64_t ledger_bytes = 0;
-  /// Bit b set = bucket b has bytes or records; the rest add nothing to a
-  /// fetch. Built by ShuffleManager::PutMapOutput, so reducers walk only
-  /// the non-empty buckets they own.
-  std::vector<uint64_t> nonempty;
+
+  uint64_t records() const;
+  uint64_t bytes() const;
+};
+
+/// Stable grouping of `bucket_of.size()` records by bucket, the layout
+/// every map-side dependency ships: fills `order` with the record indices
+/// in ascending bucket order (each bucket keeping input order) and returns
+/// the non-empty buckets as MapBuckets over `order`, bytes and codes unset.
+/// Costs O(n log n) when the records are few next to `num_buckets`,
+/// O(n + num_buckets) otherwise.
+std::vector<MapBucket> OrderByBucket(const std::vector<uint32_t>& bucket_of,
+                                     uint32_t num_buckets,
+                                     std::vector<uint32_t>* order);
+
+/// One fetched bucket of one map output: records [begin, end) of that
+/// output's batch, and the bucket's bytes.
+struct ShuffleSlice {
+  const void* batch = nullptr;
+  uint32_t begin = 0;
+  uint32_t end = 0;
+  uint64_t bytes = 0;
+
+  size_t size() const { return end - begin; }
+  /// The batch, as the type its dependency stored.
+  template <typename B>
+  const B& Batch() const {
+    return *static_cast<const B*>(batch);
+  }
+  /// The slice's records of a batch stored as std::vector<T>.
+  template <typename T>
+  std::span<const T> Records() const {
+    return std::span<const T>(Batch<std::vector<T>>().data() + begin, size());
+  }
 };
 
 /// Ids of shuffles whose ShuffleDependency died, awaiting DropShuffle. An
@@ -102,6 +154,12 @@ class ShuffleManager {
   /// nullptr if absent — never computed, or lost to a failure. A non-null
   /// result is always present (fetchable).
   const MapOutput* GetMapOutput(int shuffle_id, int map_partition) const;
+
+  /// Every map partition's output slot, in map-partition order; a slot
+  /// that is not `present` reads as absent (GetMapOutput's nullptr).
+  const std::vector<MapOutput>& MapOutputs(int shuffle_id) const {
+    return GetState(shuffle_id).outputs;
+  }
 
   /// True once every map partition has a present output.
   bool IsComplete(int shuffle_id) const;

@@ -2,7 +2,6 @@
 #define SHARK_RDD_TASK_CONTEXT_H_
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -270,18 +269,19 @@ class TaskContext {
   /// engine profile and output locality; locality-dependent parts are
   /// deferred). Missing map outputs are recorded in missing_inputs().
   /// `buckets` must be strictly ascending, as every BucketAssignment is.
-  std::vector<BlockData> FetchShuffleBuckets(int shuffle_id,
-                                             const std::vector<int>& buckets,
-                                             double* effective_records = nullptr) {
-    std::vector<BlockData> out;
-    // `buckets` becomes a bitmap of words [lo_word, lo_word + owned.size());
-    // each map output is then walked over its non-empty buckets only, in
-    // ascending order: the order of `buckets`, so every sum below adds the
-    // same terms in the same order (an empty bucket adds 0).
+  /// Slices come map by map, each map's in bucket order. They point into
+  /// the map outputs' batches, which stay put while any task body runs:
+  /// node deaths and shuffle drops quiesce the pool first
+  /// (DagScheduler::BumpEpoch), and a present output is never replaced.
+  std::vector<ShuffleSlice> FetchShuffleBuckets(
+      int shuffle_id, const std::vector<int>& buckets,
+      double* effective_records = nullptr) {
+    std::vector<ShuffleSlice> out;
+    // `buckets` as a bitmap of words [lo_word, lo_word + owned.size()).
     std::vector<uint64_t> owned;
     size_t lo_word = 0;
     if (!buckets.empty()) {
-      SHARK_CHECK(buckets.front() >= 0 && buckets.front() <= buckets.back());
+      SHARK_CHECK(buckets.front() >= 0);
       lo_word = static_cast<size_t>(buckets.front()) / 64;
       owned.assign(static_cast<size_t>(buckets.back()) / 64 + 1 - lo_word, 0);
       for (size_t i = 0; i < buckets.size(); ++i) {
@@ -290,48 +290,62 @@ class TaskContext {
         owned[b / 64 - lo_word] |= uint64_t{1} << (b % 64);
       }
     }
-    int num_maps = shuffle_manager_->NumMapPartitions(shuffle_id);
-    for (int m = 0; m < num_maps; ++m) {
-      const MapOutput* mo = shuffle_manager_->GetMapOutput(shuffle_id, m);
-      // nullptr covers both never-computed and lost-to-failure outputs
-      // (GetMapOutput's contract); either way the scheduler must recompute.
-      if (mo == nullptr) {
-        missing_inputs_.emplace_back(shuffle_id, m);
+    const std::vector<MapOutput>& outputs =
+        shuffle_manager_->MapOutputs(shuffle_id);
+    for (size_t m = 0; m < outputs.size(); ++m) {
+      const MapOutput& mo = outputs[m];
+      // Absent covers both never-computed and lost-to-failure outputs;
+      // either way the scheduler must recompute.
+      if (!mo.present) {
+        missing_inputs_.emplace_back(shuffle_id, static_cast<int>(m));
         continue;
       }
+      // Matches come in bucket order, so every sum adds the same terms in
+      // the same order as a walk over every bucket would (an empty bucket
+      // adds 0).
       uint64_t bytes = 0;
-      const size_t end = std::min(lo_word + owned.size(), mo->nonempty.size());
-      for (size_t w = lo_word; w < end; ++w) {
-        for (uint64_t bits = mo->nonempty[w] & owned[w - lo_word]; bits != 0;
-             bits &= bits - 1) {
-          const size_t bi = w * 64 + static_cast<size_t>(std::countr_zero(bits));
-          if (mo->buckets[bi] != nullptr && mo->bucket_records[bi] > 0) {
-            out.push_back(mo->buckets[bi]);
-          }
-          bytes += mo->bucket_bytes[bi];
-          if (effective_records != nullptr) {
-            double cost_scale = mo->bucket_cost_scale.empty()
-                                    ? 1.0
-                                    : mo->bucket_cost_scale[bi];
-            *effective_records +=
-                static_cast<double>(mo->bucket_records[bi]) * cost_scale;
-          }
+      auto take = [&](const MapBucket& e) {
+        out.push_back(ShuffleSlice{mo.batch.get(), e.begin, e.end, e.bytes});
+        bytes += e.bytes;
+        if (effective_records != nullptr) {
+          *effective_records += static_cast<double>(e.records()) * mo.cost_scale;
+        }
+      };
+      const std::vector<MapBucket>& have = mo.buckets;
+      if (have.empty() || buckets.empty()) {
+        // Nothing to match.
+      } else if (have.size() <= 8 * buckets.size()) {
+        // Few buckets next to the wanted ones: walk those in the wanted
+        // range and test each against the bitmap.
+        const auto last = static_cast<uint32_t>(buckets.back());
+        for (size_t e = SeekBucket(0, have, static_cast<uint32_t>(buckets.front()));
+             e < have.size() && have[e].bucket <= last; ++e) {
+          const uint32_t b = have[e].bucket;
+          if ((owned[b / 64 - lo_word] >> (b % 64) & 1) != 0) take(have[e]);
+        }
+      } else {
+        // Many: seek each wanted bucket past the previous match.
+        size_t e = 0;
+        for (int b : buckets) {
+          e = SeekBucket(e, have, static_cast<uint32_t>(b));
+          if (e == have.size()) break;
+          if (have[e].bucket == static_cast<uint32_t>(b)) take(have[e]);
         }
       }
       if (bytes == 0) continue;
       // Per-output serving mode: §5's memory-based-shuffle knob resolved at
       // map launch (globally true for the Hadoop profile, per-node true when
       // the map node's memory budget had no room for the buckets).
-      if (mo->on_disk) {
+      if (mo.on_disk) {
         // The serving side reads its spilled map output from disk (one seek
         // per map output consulted), then ships it if remote.
         work_.disk_read_bytes += bytes;
         work_.disk_seeks += 1;
         deferred_charges_.push_back(DeferredCharge{
-            DeferredCharge::Kind::kNetIfRemote, bytes, mo->node, {}});
+            DeferredCharge::Kind::kNetIfRemote, bytes, mo.node, {}});
       } else {
         deferred_charges_.push_back(DeferredCharge{
-            DeferredCharge::Kind::kMemOrNet, bytes, mo->node, {}});
+            DeferredCharge::Kind::kMemOrNet, bytes, mo.node, {}});
       }
     }
     return out;
@@ -371,6 +385,28 @@ class TaskContext {
   std::vector<MemOp> TakeMemLog() { return std::move(mem_log_); }
 
  private:
+  // Index of the first of `list`'s buckets (strictly ascending, not
+  // empty) that is >= `bucket`, searched from `from` on. Distinct ids below
+  // `bucket` number at most `bucket`, and at least `bucket` minus the ids
+  // missing below the list's last one, so a dense list pins the answer to
+  // a narrow window.
+  static size_t SeekBucket(size_t from, const std::vector<MapBucket>& list,
+                           uint32_t bucket) {
+    const uint64_t gap = list.back().bucket + uint64_t{1} - list.size();
+    const size_t hi = std::min<size_t>(bucket, list.size());
+    size_t lo = std::min<size_t>(
+        std::max<uint64_t>(from, bucket > gap ? bucket - gap : 0), hi);
+    // Binary search over [lo, hi] written with selects, not branches: the
+    // outcome of each probe is a coin flip a branch predictor cannot learn.
+    for (size_t n = hi - lo; n > 0;) {
+      const size_t half = n / 2;
+      const bool below = list[lo + half].bucket < bucket;
+      lo = below ? lo + half + 1 : lo;
+      n = below ? n - half - 1 : half;
+    }
+    return lo;
+  }
+
   /// Shared degradation path: charge the external-algorithm I/O for a
   /// `bytes`-sized working set that failed to reserve. Both shapes write the
   /// whole working set to local disk and read it back once; grace hash pays

@@ -14,6 +14,25 @@ Cluster::Cluster(int num_nodes, int cores_per_node)
   for (auto& n : nodes_) {
     n.core_free_at.assign(static_cast<size_t>(cores_per_node), 0.0);
   }
+  while (leaves_ < static_cast<size_t>(total_cores())) leaves_ *= 2;
+  free_tree_.assign(2 * leaves_, std::numeric_limits<double>::infinity());
+  for (int ni = 0; ni < num_nodes; ++ni) IndexNode(ni);
+}
+
+void Cluster::IndexCore(int node, int core) {
+  const NodeState& n = nodes_[static_cast<size_t>(node)];
+  size_t i = leaves_ +
+             static_cast<size_t>(node) * static_cast<size_t>(cores_per_node_) +
+             static_cast<size_t>(core);
+  free_tree_[i] = n.alive ? n.core_free_at[static_cast<size_t>(core)]
+                          : std::numeric_limits<double>::infinity();
+  for (i /= 2; i >= 1; i /= 2) {
+    free_tree_[i] = std::min(free_tree_[2 * i], free_tree_[2 * i + 1]);
+  }
+}
+
+void Cluster::IndexNode(int node) {
+  for (int ci = 0; ci < cores_per_node_; ++ci) IndexCore(node, ci);
 }
 
 void Cluster::InjectFault(const FaultEvent& event) {
@@ -41,6 +60,7 @@ std::vector<int> Cluster::ApplyFaultsUpTo(double now) {
         if (n.alive) {
           n.alive = false;
           killed.push_back(e.node);
+          IndexNode(e.node);
         }
         break;
       case FaultEvent::Kind::kSlowdown:
@@ -51,6 +71,7 @@ std::vector<int> Cluster::ApplyFaultsUpTo(double now) {
         n.slowdown = 1.0;
         // A recovered node rejoins with free cores from now on.
         for (double& t : n.core_free_at) t = std::max(t, e.time);
+        IndexNode(e.node);
         break;
     }
   }
@@ -61,25 +82,16 @@ std::vector<int> Cluster::ApplyFaultsUpTo(double now) {
 
 bool Cluster::EarliestFreeCore(double now, double* when, int* node,
                                int* core) const {
-  double best = std::numeric_limits<double>::infinity();
-  int best_node = -1;
-  int best_core = -1;
-  for (int ni = 0; ni < num_nodes(); ++ni) {
-    const NodeState& n = nodes_[static_cast<size_t>(ni)];
-    if (!n.alive) continue;
-    for (int ci = 0; ci < cores_per_node_; ++ci) {
-      double t = std::max(now, n.core_free_at[static_cast<size_t>(ci)]);
-      if (t < best) {
-        best = t;
-        best_node = ni;
-        best_core = ci;
-      }
-    }
-  }
-  if (best_node < 0) return false;
-  *when = best;
-  *node = best_node;
-  *core = best_core;
+  // Every alive core free by `at` ties at `at`; the leftmost such leaf is
+  // the lowest (node, core).
+  const double at = std::max(now, free_tree_[1]);
+  if (at == std::numeric_limits<double>::infinity()) return false;
+  size_t i = 1;
+  while (i < leaves_) i = free_tree_[2 * i] <= at ? 2 * i : 2 * i + 1;
+  const auto g = static_cast<int>(i - leaves_);
+  *when = at;
+  *node = g / cores_per_node_;
+  *core = g % cores_per_node_;
   return true;
 }
 
@@ -102,6 +114,7 @@ double Cluster::EarliestFreeCoreOnNode(int node, int* core) const {
 void Cluster::OccupyCore(int node, int core, double until) {
   auto& n = nodes_[static_cast<size_t>(node)];
   n.core_free_at[static_cast<size_t>(core)] = until;
+  IndexCore(node, core);
 }
 
 void Cluster::Reset() {
@@ -111,6 +124,7 @@ void Cluster::Reset() {
     n.slowdown = 1.0;
     std::fill(n.core_free_at.begin(), n.core_free_at.end(), 0.0);
   }
+  for (int ni = 0; ni < num_nodes(); ++ni) IndexNode(ni);
 }
 
 int Cluster::BusyCores(int node, double now) const {

@@ -49,8 +49,9 @@ class Cluster {
   /// Applies all faults with time <= now; returns ids of nodes newly killed.
   std::vector<int> ApplyFaultsUpTo(double now);
 
-  /// Earliest time >= now at which some core on an alive node is free.
-  /// Returns false if no node is alive.
+  /// Earliest time >= now at which some core on an alive node is free; of
+  /// the cores free then, the lowest node, then the lowest core. Returns
+  /// false if no node is alive. O(log total_cores).
   bool EarliestFreeCore(double now, double* when, int* node, int* core) const;
 
   /// Earliest free core on a specific node (must be alive).
@@ -71,9 +72,19 @@ class Cluster {
   int BusyCores(int node, double now) const;
 
  private:
+  /// Rewrites the free-core index entries of `node`'s cores.
+  void IndexNode(int node);
+  void IndexCore(int node, int core);
+
   int cores_per_node_;
   std::vector<NodeState> nodes_;
   std::vector<FaultEvent> pending_faults_;  // sorted by time
+  // Free-core index: a min-tree over every core in (node, core) order. Leaf
+  // leaves_ + node * cores_per_node_ + core holds the core's free time
+  // (+inf while its node is dead, and on padding leaves); each inner entry i
+  // is the min of entries 2i and 2i + 1, so entry 1 is the earliest.
+  size_t leaves_ = 1;
+  std::vector<double> free_tree_;
 };
 
 }  // namespace shark

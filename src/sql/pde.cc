@@ -1,6 +1,7 @@
 #include "sql/pde.h"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 
 #include "common/logging.h"
@@ -30,14 +31,18 @@ BucketAssignment CoalesceBuckets(const std::vector<uint64_t>& bucket_bytes,
            bucket_bytes[static_cast<size_t>(b)];
   });
   BucketAssignment assignment(static_cast<size_t>(num_reducers));
-  std::vector<uint64_t> load(static_cast<size_t>(num_reducers), 0);
+  // Min-heap of (load, reducer): the least-loaded reducer, the lowest index
+  // among equal loads. All loads start at 0, so the initial list is a heap.
+  using Load = std::pair<uint64_t, int>;
+  std::vector<Load> heap;
+  heap.reserve(static_cast<size_t>(num_reducers));
+  for (int r = 0; r < num_reducers; ++r) heap.emplace_back(0, r);
   for (int bucket : order) {
-    size_t best = 0;
-    for (size_t r = 1; r < load.size(); ++r) {
-      if (load[r] < load[best]) best = r;
-    }
-    assignment[best].push_back(bucket);
-    load[best] += bucket_bytes[static_cast<size_t>(bucket)];
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+    auto& [load, best] = heap.back();
+    assignment[static_cast<size_t>(best)].push_back(bucket);
+    load += bucket_bytes[static_cast<size_t>(bucket)];
+    std::push_heap(heap.begin(), heap.end(), std::greater<>());
   }
   // Keep each reducer's bucket list ordered for determinism.
   for (auto& list : assignment) std::sort(list.begin(), list.end());

@@ -19,7 +19,7 @@ int ChooseNumReducers(uint64_t total_virtual_bytes, uint64_t target_bytes,
                       int num_buckets);
 
 /// Greedy bin packing: buckets sorted by decreasing size, each placed on the
-/// currently least-loaded reducer. Every bucket index in [0, bucket_bytes
+/// currently least-loaded reducer (the lowest-numbered one among equals). Every bucket index in [0, bucket_bytes
 /// .size()) appears in exactly one reducer's list.
 BucketAssignment CoalesceBuckets(const std::vector<uint64_t>& bucket_bytes,
                                  int num_reducers);

@@ -231,6 +231,61 @@ TEST(SizeEncodingTest, DecodeMonotoneAcrossCodes) {
   EXPECT_LE(prev, SizeEncoding::kMaxSize + SizeEncoding::kMaxSize / 10);
 }
 
+// The log/exp formula the encoding is defined by; Encode and Decode are
+// table lookups that must reproduce it bit for bit.
+const double kFormulaLogBase =
+    std::log(static_cast<double>(SizeEncoding::kMaxSize)) / 254.0;
+
+uint8_t FormulaEncode(uint64_t bytes) {
+  if (bytes == 0) return 0;
+  if (bytes >= SizeEncoding::kMaxSize) return 255;
+  double code = std::log(static_cast<double>(bytes)) / kFormulaLogBase + 1.0;
+  long rounded = std::lround(code);
+  if (rounded < 1) rounded = 1;
+  if (rounded > 255) rounded = 255;
+  return static_cast<uint8_t>(rounded);
+}
+
+uint64_t FormulaDecode(uint8_t code) {
+  if (code == 0) return 0;
+  double v = std::exp(kFormulaLogBase * static_cast<double>(code - 1));
+  return static_cast<uint64_t>(std::llround(v));
+}
+
+TEST(SizeEncodingTest, TablesMatchFormula) {
+  for (int code = 0; code <= 255; ++code) {
+    const auto c = static_cast<uint8_t>(code);
+    EXPECT_EQ(SizeEncoding::Decode(c), FormulaDecode(c)) << "code=" << code;
+  }
+  // Each code's first size (the smallest size the formula gives that code or
+  // more) and the size just below it: the places a threshold table can be
+  // off by one.
+  for (int k = 1; k <= 255; ++k) {
+    uint64_t lo = 1, hi = SizeEncoding::kMaxSize;
+    while (lo < hi) {
+      const uint64_t mid = lo + (hi - lo) / 2;
+      if (FormulaEncode(mid) >= k) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    EXPECT_EQ(SizeEncoding::Encode(lo), FormulaEncode(lo)) << "size=" << lo;
+    EXPECT_EQ(SizeEncoding::Encode(lo - 1), FormulaEncode(lo - 1))
+        << "size=" << lo - 1;
+  }
+  // Consecutive small sizes, then a sweep uniform in log-size up to twice
+  // the saturation point.
+  for (uint64_t s = 0; s < 2'000'000; ++s) {
+    ASSERT_EQ(SizeEncoding::Encode(s), FormulaEncode(s)) << "size=" << s;
+  }
+  Random rng(27);
+  for (int i = 0; i < 1'000'000; ++i) {
+    const uint64_t s = rng.Uniform(uint64_t{1} << (1 + rng.Uniform(36)));
+    ASSERT_EQ(SizeEncoding::Encode(s), FormulaEncode(s)) << "size=" << s;
+  }
+}
+
 TEST(SizeEncodingTest, EncodeMonotoneInSize) {
   // Encode never decreases as the size grows (random adjacent pairs).
   Random rng(2024);

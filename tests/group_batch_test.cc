@@ -243,27 +243,26 @@ TEST_P(GroupBatchChargeTest, MatchesReferenceLayout) {
         EXPECT_GT(new_task.spill_partitions(), 0u);  // the case spills
       }
       EXPECT_EQ(got.on_disk, ref.on_disk);
-      EXPECT_EQ(got.bucket_bytes, ref.bucket_bytes);
-      EXPECT_EQ(got.bucket_records, ref.bucket_records);
-      EXPECT_EQ(got.bucket_cost_scale, ref.bucket_cost_scale);
+      EXPECT_EQ(got.cost_scale, ref.cost_scale);
+      // The same non-empty buckets, bytes, size codes and record counts.
       ASSERT_EQ(got.buckets.size(), ref.buckets.size());
-      for (size_t b = 0; b < ref.buckets.size(); ++b) {
-        ASSERT_EQ(got.buckets[b] == nullptr, ref.buckets[b] == nullptr)
-            << "bucket " << b;
-        std::vector<RefGroup> want;
-        if (ref.buckets[b] != nullptr) {
-          want = *std::static_pointer_cast<const std::vector<RefGroup>>(
-              ref.buckets[b]);
-        }
-        ref_buckets_by_map[m].push_back(want);
-        if (got.buckets[b] == nullptr) continue;
+      const auto& ref_batch =
+          *static_cast<const std::vector<RefGroup>*>(ref.batch.get());
+      const auto& batch = *static_cast<const vec::GroupBatch*>(got.batch.get());
+      ref_buckets_by_map[m].assign(static_cast<size_t>(c.buckets), {});
+      for (size_t e = 0; e < ref.buckets.size(); ++e) {
+        const MapBucket& want_bucket = ref.buckets[e];
+        const MapBucket& got_bucket = got.buckets[e];
+        ASSERT_EQ(got_bucket.bucket, want_bucket.bucket);
+        EXPECT_EQ(got_bucket.bytes, want_bucket.bytes);
+        EXPECT_EQ(got_bucket.size_code, want_bucket.size_code);
+        ASSERT_EQ(got_bucket.records(), want_bucket.records());
+        const std::vector<RefGroup> want(ref_batch.begin() + want_bucket.begin,
+                                         ref_batch.begin() + want_bucket.end);
+        ref_buckets_by_map[m][want_bucket.bucket] = want;
         // Same groups, same (first-seen) order, same hashes, bytes, states.
-        const auto& slice =
-            *static_cast<const vec::GroupSlice*>(got.buckets[b].get());
-        ASSERT_EQ(slice.size(), want.size());
-        const vec::GroupBatch& batch = *slice.batch;
         for (size_t i = 0; i < want.size(); ++i) {
-          const size_t g = batch.bucket_order()[slice.begin + i];
+          const size_t g = batch.bucket_order()[got_bucket.begin + i];
           EXPECT_EQ(batch.hash(g), KeyHash(want[i].first));
           EXPECT_EQ(batch.GroupBytes(g), ApproxSizeOf(want[i]));
           EXPECT_TRUE(batch.FinalizeRow(g) ==
@@ -294,10 +293,11 @@ TEST_P(GroupBatchChargeTest, MatchesReferenceLayout) {
               MergeAggStates(*s.calls, kv.second, &ref_out[it->second].second);
             }
           }
-          const BlockData& slice = new_outputs[static_cast<size_t>(m)]
-                                       .buckets[static_cast<size_t>(b)];
-          if (slice != nullptr) {
-            table.MergeSlice(*static_cast<const vec::GroupSlice*>(slice.get()));
+          const MapOutput& out = new_outputs[static_cast<size_t>(m)];
+          for (const MapBucket& e : out.buckets) {
+            if (e.bucket != static_cast<uint32_t>(b)) continue;
+            table.MergeSlice(
+                ShuffleSlice{out.batch.get(), e.begin, e.end, e.bytes});
           }
         }
       }

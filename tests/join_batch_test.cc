@@ -210,34 +210,35 @@ TEST_P(JoinBatchChargeTest, MatchesReferenceLayout) {
             std::make_shared<const std::vector<Row>>(rows), &new_task);
         ExpectSameWork(&ref_task, &new_task);
         EXPECT_EQ(got.on_disk, ref.on_disk);
-        EXPECT_EQ(got.bucket_bytes, ref.bucket_bytes);
-        EXPECT_EQ(got.bucket_records, ref.bucket_records);
-        EXPECT_EQ(got.bucket_cost_scale, ref.bucket_cost_scale);
+        EXPECT_EQ(got.cost_scale, ref.cost_scale);
+        // The same non-empty buckets, bytes, size codes and record counts.
         ASSERT_EQ(got.buckets.size(), ref.buckets.size());
-        for (size_t b = 0; b < ref.buckets.size(); ++b) {
-          ASSERT_EQ(got.buckets[b] == nullptr, ref.buckets[b] == nullptr)
-              << "bucket " << b;
-          if (ref.buckets[b] == nullptr) continue;
+        const auto& ref_batch =
+            *static_cast<const std::vector<RowPair>*>(ref.batch.get());
+        for (size_t e = 0; e < ref.buckets.size(); ++e) {
+          const MapBucket& want_bucket = ref.buckets[e];
+          const MapBucket& got_bucket = got.buckets[e];
+          ASSERT_EQ(got_bucket.bucket, want_bucket.bucket);
+          EXPECT_EQ(got_bucket.bytes, want_bucket.bytes);
+          EXPECT_EQ(got_bucket.size_code, want_bucket.size_code);
+          ASSERT_EQ(got_bucket.records(), want_bucket.records());
           // Same rows in the same order, with the same hashes and bytes.
-          const auto& want =
-              *std::static_pointer_cast<const std::vector<RowPair>>(
-                  ref.buckets[b]);
-          const auto& slice =
-              *static_cast<const vec::JoinSlice*>(got.buckets[b].get());
-          ASSERT_EQ(slice.size(), want.size());
-          uint64_t key_bytes = 0;
-          for (size_t i = 0; i < want.size(); ++i) {
+          const vec::JoinSlice slice(ShuffleSlice{
+              got.batch.get(), got_bucket.begin, got_bucket.end,
+              got_bucket.bytes});
+          uint64_t bytes = 0;
+          for (size_t i = 0; i < slice.size(); ++i) {
+            const RowPair& want = ref_batch[want_bucket.begin + i];
             const uint32_t r = slice.row(i);
-            EXPECT_EQ(slice.batch->hash(r), KeyHash(want[i].first));
-            EXPECT_EQ(slice.batch->KeyBytes(r), ApproxSizeOf(want[i].first));
-            EXPECT_EQ(slice.batch->RowBytes(r), ApproxSizeOf(want[i].second));
+            EXPECT_EQ(slice.batch->hash(r), KeyHash(want.first));
+            EXPECT_EQ(slice.batch->KeyBytes(r), ApproxSizeOf(want.first));
+            EXPECT_EQ(slice.batch->RowBytes(r), ApproxSizeOf(want.second));
             Row fields;
             slice.batch->AppendFields(r, &fields.fields);
-            EXPECT_EQ(fields, want[i].second);
-            key_bytes += ApproxSizeOf(want[i].first);
+            EXPECT_EQ(fields, want.second);
+            bytes += ApproxSizeOf(want);
           }
-          EXPECT_EQ(slice.bytes, ApproxSizeOfRange(want));
-          EXPECT_EQ(slice.key_bytes, key_bytes);
+          EXPECT_EQ(slice.bytes, bytes);
         }
         ref.node = got.node = m % cfg.num_nodes;
         ctx.shuffle_manager().PutMapOutput(ref_deps.back()->shuffle_id(), m,

@@ -1,4 +1,6 @@
+#include <algorithm>
 #include <numeric>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -77,6 +79,48 @@ TEST_P(PdeCoalescePropertyTest, MaxLoadWithinTwiceOptimal) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PdeCoalescePropertyTest,
                          ::testing::Range(1, 13));
+
+/// CoalesceBuckets as a linear scan over every reducer per bucket: the
+/// least-loaded reducer, the first one among equals.
+BucketAssignment LinearScanCoalesce(const std::vector<uint64_t>& bucket_bytes,
+                                    int num_reducers) {
+  const int n = static_cast<int>(bucket_bytes.size());
+  if (num_reducers > n) num_reducers = n;
+  std::vector<int> order(static_cast<size_t>(n));
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+    return bucket_bytes[static_cast<size_t>(a)] >
+           bucket_bytes[static_cast<size_t>(b)];
+  });
+  BucketAssignment assignment(static_cast<size_t>(num_reducers));
+  std::vector<uint64_t> load(static_cast<size_t>(num_reducers), 0);
+  for (int bucket : order) {
+    size_t best = 0;
+    for (size_t r = 1; r < load.size(); ++r) {
+      if (load[r] < load[best]) best = r;
+    }
+    assignment[best].push_back(bucket);
+    load[best] += bucket_bytes[static_cast<size_t>(bucket)];
+  }
+  for (auto& list : assignment) std::sort(list.begin(), list.end());
+  return assignment;
+}
+
+TEST(PdeCoalesceTest, MatchesLinearScanWithTies) {
+  Random rng(11);
+  for (int round = 0; round < 200; ++round) {
+    const auto n = static_cast<size_t>(rng.Uniform(300));
+    // Few distinct sizes (many ties, zeros among them) or many.
+    const uint64_t range = round % 3 == 0 ? 4 : round % 3 == 1 ? 100 : 1000000;
+    std::vector<uint64_t> sizes(n);
+    for (uint64_t& b : sizes) b = rng.Uniform(range) * 8;
+    const int reducers = 1 + static_cast<int>(rng.Uniform(40));
+    EXPECT_EQ(CoalesceBuckets(sizes, reducers),
+              LinearScanCoalesce(sizes, reducers))
+        << "round " << round << ", " << n << " buckets, " << reducers
+        << " reducers";
+  }
+}
 
 }  // namespace
 }  // namespace shark

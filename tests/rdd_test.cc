@@ -398,20 +398,29 @@ TEST(ShuffleStatsTest, CombinerBucketsKeepFirstSeenOrder) {
     const MapOutput* out =
         ctx.shuffle_manager().GetMapOutput(dep->shuffle_id(), p);
     ASSERT_NE(out, nullptr);
-    ASSERT_EQ(out->buckets.size(), static_cast<size_t>(kBuckets));
+    // Only the non-empty buckets are listed, in ascending order, each a
+    // range of the one batch.
+    const auto& batch =
+        *static_cast<const std::vector<std::pair<int64_t, int64_t>>*>(
+            out->batch.get());
+    size_t e = 0;
     for (size_t b = 0; b < kBuckets; ++b) {
-      EXPECT_EQ(out->bucket_records[b], expect[b].size());
-      // An empty bucket is stored as nullptr.
       if (expect[b].empty()) {
-        EXPECT_EQ(out->buckets[b], nullptr) << "task " << p << " bucket " << b;
+        EXPECT_TRUE(e == out->buckets.size() || out->buckets[e].bucket != b)
+            << "task " << p << " bucket " << b;
         continue;
       }
-      ASSERT_NE(out->buckets[b], nullptr) << "task " << p << " bucket " << b;
-      const auto& got = *std::static_pointer_cast<
-          const std::vector<std::pair<int64_t, int64_t>>>(out->buckets[b]);
+      ASSERT_LT(e, out->buckets.size()) << "task " << p << " bucket " << b;
+      const MapBucket& mb = out->buckets[e++];
+      ASSERT_EQ(mb.bucket, b) << "task " << p;
+      EXPECT_EQ(mb.records(), expect[b].size());
+      const std::vector<std::pair<int64_t, int64_t>> got(
+          batch.begin() + mb.begin, batch.begin() + mb.end);
       EXPECT_EQ(got, expect[b]) << "task " << p << " bucket " << b;
-      total_records += out->bucket_records[b];
+      total_records += mb.records();
     }
+    EXPECT_EQ(e, out->buckets.size());
+    EXPECT_EQ(batch.size(), out->records());
   }
   // Each task sees all 50 keys once combined.
   EXPECT_EQ(total_records, static_cast<uint64_t>(kParts * 50));

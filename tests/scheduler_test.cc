@@ -10,6 +10,14 @@
 namespace shark {
 namespace {
 
+/// Bucket `bucket` over records [begin, end) of a map output, `bytes` big.
+MapBucket SizedBucket(uint32_t bucket, uint32_t begin, uint32_t end,
+                      uint64_t bytes) {
+  MapBucket b{bucket, begin, end};
+  b.SetBytes(bytes);
+  return b;
+}
+
 std::vector<int64_t> Iota(int64_t n) {
   std::vector<int64_t> v(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) v[static_cast<size_t>(i)] = i;
@@ -177,9 +185,7 @@ TEST(ShuffleManagerTest, LostOutputReadsAbsent) {
   int id = sm.RegisterShuffle(/*num_map_partitions=*/2, /*num_buckets=*/2);
   MapOutput out;
   out.node = 1;
-  out.buckets.resize(2);
-  out.bucket_bytes = {10, 20};
-  out.bucket_records = {1, 2};
+  out.buckets = {SizedBucket(0, 0, 1, 10), SizedBucket(1, 1, 3, 20)};
   sm.PutMapOutput(id, 0, std::move(out));
   ASSERT_NE(sm.GetMapOutput(id, 0), nullptr);
   EXPECT_EQ(sm.GetMapOutput(id, 0)->node, 1);
@@ -187,9 +193,7 @@ TEST(ShuffleManagerTest, LostOutputReadsAbsent) {
 
   MapOutput other;
   other.node = 2;
-  other.buckets.resize(2);
-  other.bucket_bytes = {5, 5};
-  other.bucket_records = {1, 1};
+  other.buckets = {SizedBucket(0, 0, 1, 5), SizedBucket(1, 1, 2, 5)};
   sm.PutMapOutput(id, 1, std::move(other));
   EXPECT_TRUE(sm.IsComplete(id));
 
@@ -301,7 +305,7 @@ TEST(SchedulerTest, SpeculativeDuplicatesDontCorruptShuffleState) {
   for (int m = 0; m < sm.NumMapPartitions(shuffle_id); ++m) {
     const MapOutput* mo = sm.GetMapOutput(shuffle_id, m);
     ASSERT_NE(mo, nullptr);
-    for (uint64_t r : mo->bucket_records) stored_records += r;
+    stored_records += mo->records();
   }
   EXPECT_EQ(sm.Stats(shuffle_id).total_records, stored_records);
 
@@ -313,6 +317,70 @@ TEST(SchedulerTest, SpeculativeDuplicatesDontCorruptShuffleState) {
     ASSERT_NE(mo, nullptr);
     EXPECT_EQ(mo->node, t.node) << "map partition " << t.partition;
   }
+}
+
+TEST(SchedulerTest, SpeculativeDuplicateMatchesSerialRun) {
+  // A launch takes its task's outcome out of the precomputation slot; a
+  // speculative duplicate of that task then recomputes it at the same epoch.
+  // The job must commit the same output, at the same virtual times, as the
+  // serial run, whose every outcome is computed at launch.
+  struct Run {
+    std::vector<std::pair<int64_t, int64_t>> result;
+    JobMetrics metrics;
+    std::string profile;
+    int speculative_commits = 0;
+  };
+  auto run = [](int host_threads) {
+    ClusterConfig cfg;
+    cfg.num_nodes = 4;
+    cfg.hardware.cores_per_node = 2;
+    cfg.virtual_data_scale = 1e7;
+    cfg.speculation = true;
+    cfg.host_threads = host_threads;
+    ClusterContext ctx(cfg);
+    // One node 8x slower from the start: its tasks get backup copies on
+    // healthy nodes, which finish first and commit.
+    ctx.InjectFault(FaultEvent{FaultEvent::Kind::kSlowdown, 0.0, 1, 8.0});
+    std::vector<std::pair<int64_t, int64_t>> data;
+    for (int64_t i = 0; i < 4000; ++i) data.emplace_back(i % 100, i);
+    auto summed = ReduceByKey(ctx.Parallelize(data, 8),
+                              [](int64_t a, int64_t b) { return a + b; }, 6);
+    TraceCollector& tc = ctx.trace_collector();
+    EXPECT_TRUE(tc.BeginQuery(ctx.now()));
+    auto result = ctx.Collect(summed);
+    auto profile = tc.EndQuery(ctx.now());
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    Run r;
+    if (result.ok()) r.result = *result;
+    r.metrics = ctx.scheduler().last_job();
+    r.profile = profile->ToChromeTrace();
+    for (const StageTrace& st : profile->stages) {
+      for (const TaskTrace& t : st.tasks) {
+        if (t.speculative && t.end == TaskEnd::kCommitted) {
+          r.speculative_commits += 1;
+        }
+      }
+    }
+    return r;
+  };
+  const Run serial = run(1);
+  const Run pooled = run(4);
+  EXPECT_GT(serial.speculative_commits, 0);
+  EXPECT_EQ(pooled.speculative_commits, serial.speculative_commits);
+  EXPECT_EQ(pooled.result, serial.result);
+  EXPECT_EQ(pooled.profile, serial.profile);
+  EXPECT_EQ(pooled.metrics.start_time, serial.metrics.start_time);
+  EXPECT_EQ(pooled.metrics.end_time, serial.metrics.end_time);
+  EXPECT_EQ(pooled.metrics.tasks_launched, serial.metrics.tasks_launched);
+  EXPECT_EQ(pooled.metrics.speculative_tasks, serial.metrics.speculative_tasks);
+  EXPECT_EQ(pooled.metrics.result_nodes, serial.metrics.result_nodes);
+  const TaskWork& a = pooled.metrics.total_work;
+  const TaskWork& b = serial.metrics.total_work;
+  EXPECT_EQ(a.rows_processed, b.rows_processed);
+  EXPECT_EQ(a.hash_records, b.hash_records);
+  EXPECT_EQ(a.mem_read_bytes, b.mem_read_bytes);
+  EXPECT_EQ(a.net_read_bytes, b.net_read_bytes);
+  EXPECT_GT(serial.metrics.speculative_tasks, 0);
 }
 
 TEST(SchedulerTest, MapPruningLaunchesFewerTasks) {

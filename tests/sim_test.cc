@@ -1,7 +1,10 @@
+#include <algorithm>
+#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "sim/cluster.h"
 #include "sim/cost_model.h"
 #include "sim/dfs.h"
@@ -81,6 +84,60 @@ TEST(ClusterTest, KillingAllNodesLeavesNoFreeCore) {
   double when;
   int node, core;
   EXPECT_FALSE(c.EarliestFreeCore(0.0, &when, &node, &core));
+}
+
+TEST(ClusterTest, EarliestFreeCoreMatchesLinearScan) {
+  // The free-core lookup against a scan of every core: earliest time not
+  // before `now`, then the lowest node, then the lowest core, over alive
+  // nodes only. Busy times repeat so ties are common.
+  Random rng(5);
+  for (int shape = 0; shape < 4; ++shape) {
+    const int nodes = 1 + static_cast<int>(rng.Uniform(7));
+    const int cores = 1 + static_cast<int>(rng.Uniform(5));
+    Cluster c(nodes, cores);
+    double clock = 0.0;
+    for (int step = 0; step < 400; ++step) {
+      const double now = static_cast<double>(rng.Uniform(8));
+      double want_t = std::numeric_limits<double>::infinity();
+      int want_node = -1, want_core = -1;
+      for (int n = 0; n < nodes; ++n) {
+        if (!c.alive(n)) continue;
+        for (int k = 0; k < cores; ++k) {
+          const double t = std::max(
+              now, c.node(n).core_free_at[static_cast<size_t>(k)]);
+          if (t < want_t) {
+            want_t = t;
+            want_node = n;
+            want_core = k;
+          }
+        }
+      }
+      double t = 0.0;
+      int node = -1, core = -1;
+      ASSERT_EQ(c.EarliestFreeCore(now, &t, &node, &core), want_node >= 0);
+      if (want_node >= 0) {
+        EXPECT_EQ(t, want_t);
+        EXPECT_EQ(node, want_node);
+        EXPECT_EQ(core, want_core);
+      }
+      // Next event: occupy a core until a small integer time, or kill or
+      // revive a node.
+      const uint64_t what = rng.Uniform(10);
+      const auto n = static_cast<int>(rng.Uniform(static_cast<uint64_t>(nodes)));
+      if (what < 8) {
+        const auto k = static_cast<int>(rng.Uniform(static_cast<uint64_t>(cores)));
+        if (c.alive(n)) {
+          c.OccupyCore(n, k, static_cast<double>(rng.Uniform(10)));
+        }
+      } else {
+        clock += 1.0;
+        c.InjectFault(FaultEvent{what == 8 ? FaultEvent::Kind::kKill
+                                           : FaultEvent::Kind::kRecover,
+                                 clock, n, 1.0});
+        c.ApplyFaultsUpTo(clock);
+      }
+    }
+  }
 }
 
 TEST(ClusterTest, ResetRestoresEverything) {

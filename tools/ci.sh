@@ -81,13 +81,15 @@ tools/obs_check build/src/shark_server
 
 echo "=== concurrent jobs under ThreadSanitizer ==="
 # The JobManager baton (one mutex handoff per park/resume) and the server's
-# thread-per-connection front-end are the only places engine state crosses
-# host threads; a race here breaks the determinism guarantee silently, so
-# these tests get a dedicated TSan pass before the full-suite one below.
+# thread-per-connection front-end are where engine state crosses host
+# threads, and so are the scheduler's precomputation slots, whose outcomes a
+# launch takes from the pool's workers; a race here breaks the determinism
+# guarantee silently, so these tests get a dedicated TSan pass before the
+# full-suite one below.
 cmake -B build-tsan -S . -DSHARK_SANITIZE=thread -DCMAKE_CXX_FLAGS="-Werror"
 cmake --build build-tsan -j "$(nproc)" --target shark_tests
 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
-  build-tsan/tests/shark_tests --gtest_filter='ConcurrentJobsTest.*:FailingQueryCleanupTest.*:ShuffleLifetimeTest.*:DeterminismTest.ConcurrentJobs*:DeterminismTest.Indexed*:DeterminismTest.Observability*:IndexSqlTest.*:ServerTest.*:HttpListenerTest.*'
+  build-tsan/tests/shark_tests --gtest_filter='ConcurrentJobsTest.*:FailingQueryCleanupTest.*:ShuffleLifetimeTest.*:DeterminismTest.ConcurrentJobs*:DeterminismTest.Indexed*:DeterminismTest.Observability*:IndexSqlTest.*:ServerTest.*:HttpListenerTest.*:SchedulerTest.*:ShuffleManagerTest.*:ShuffleStatsTest.*:DeterminismTest.FaultRecovery*'
 
 echo "=== AddressSanitizer ==="
 tools/check_asan.sh
