@@ -16,26 +16,6 @@
 namespace shark {
 namespace vec {
 
-class JoinBatch;
-
-/// The rows of one shuffle bucket: positions [begin, end) of the owning
-/// batch's bucket order, with their bytes as (key Row, Row) pairs, as a
-/// fetched ShuffleSlice names them.
-struct JoinSlice {
-  const JoinBatch* batch = nullptr;
-  uint32_t begin = 0;
-  uint32_t end = 0;
-  uint64_t bytes = 0;
-
-  explicit JoinSlice(const ShuffleSlice& s)
-      : batch(&s.Batch<JoinBatch>()), begin(s.begin), end(s.end),
-        bytes(s.bytes) {}
-
-  size_t size() const { return end - begin; }
-  /// The batch row at position i of the slice.
-  uint32_t row(size_t i) const;
-};
-
 /// The input rows of one join map task, flat: each row's join-key cells,
 /// then every input field, as typed cells whose strings share one buffer the
 /// batch owns, plus each row's KeyHash(key). Cells are stored row by row: a
@@ -86,12 +66,8 @@ class JoinBatch {
   std::vector<uint32_t> order_;
 };
 
-inline uint32_t JoinSlice::row(size_t i) const {
-  return batch->bucket_order()[begin + i];
-}
-
 /// The map-side tail of the shuffle join: lays the batch out by bucket with
-/// a stable sort and makes the charges, bucket bytes and records of
+/// a stable counting sort and makes the charges, bucket bytes and records of
 /// hash-partitioning the same rows as (key Row, Row) pairs. The result's
 /// batch is `batch`; its buckets are ranges of bucket_order().
 MapOutput LayOutJoinBatch(std::shared_ptr<JoinBatch> batch, int num_buckets,

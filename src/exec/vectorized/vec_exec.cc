@@ -569,13 +569,13 @@ class JoinReduceRdd final : public TypedRdd<Row> {
     auto chain = [&](const std::vector<ShuffleSlice>& slices, int side) {
       uint64_t bytes = 0, records = 0;
       for (const ShuffleSlice& s : slices) {
-        const JoinSlice slice(s);
-        tctx->work().hash_records += slice.size();
-        tctx->work().rows_processed += slice.size();
-        bytes += slice.bytes;
-        records += slice.size();
-        for (size_t i = 0; i < slice.size(); ++i) {
-          table.Insert(*slice.batch, slice.row(i), side);
+        const JoinBatch& batch = s.Batch<JoinBatch>();
+        tctx->work().hash_records += s.size();
+        tctx->work().rows_processed += s.size();
+        bytes += s.bytes;
+        records += s.size();
+        for (uint32_t i = s.begin; i < s.end; ++i) {
+          table.Insert(batch, batch.bucket_order()[i], side);
         }
       }
       return std::make_pair(bytes, records);
@@ -597,9 +597,9 @@ class JoinReduceRdd final : public TypedRdd<Row> {
       uint64_t cogroup_bytes = 0;
       for (const auto* side : {&lbs, &rbs}) {
         for (const ShuffleSlice& s : *side) {
-          const JoinSlice slice(s);
-          for (size_t i = 0; i < slice.size(); ++i) {
-            cogroup_bytes += slice.batch->RowBytes(slice.row(i));
+          const JoinBatch& batch = s.Batch<JoinBatch>();
+          for (uint32_t i = s.begin; i < s.end; ++i) {
+            cogroup_bytes += batch.RowBytes(batch.bucket_order()[i]);
           }
         }
       }
@@ -679,12 +679,12 @@ class JoinGatherRdd final : public TypedRdd<Row> {
     uint64_t bytes = 0;
     for (const ShuffleSlice& s :
          tctx->FetchShuffleBuckets(dep_->shuffle_id(), all)) {
-      const JoinSlice slice(s);
-      bytes += slice.bytes;
-      for (size_t i = 0; i < slice.size(); ++i) {
+      const JoinBatch& batch = s.Batch<JoinBatch>();
+      bytes += s.bytes;
+      for (uint32_t i = s.begin; i < s.end; ++i) {
         Row row;
-        row.fields.reserve(slice.batch->width());
-        slice.batch->AppendFields(slice.row(i), &row.fields);
+        row.fields.reserve(batch.width());
+        batch.AppendFields(batch.bucket_order()[i], &row.fields);
         out.push_back(std::move(row));
       }
     }

@@ -32,25 +32,7 @@ std::vector<MapBucket> OrderByBucket(const std::vector<uint32_t>& bucket_of,
   SHARK_CHECK(n <= UINT32_MAX);
   order->resize(n);
   std::vector<MapBucket> runs;
-  if (n * 8 < num_buckets) {
-    // Few records: sort (bucket, index) keys; the index makes it stable.
-    runs.reserve(n);
-    std::vector<uint64_t> keys(n);
-    for (size_t i = 0; i < n; ++i) {
-      keys[i] = uint64_t{bucket_of[i]} << 32 | i;
-    }
-    std::sort(keys.begin(), keys.end());
-    for (size_t i = 0; i < n; ++i) {
-      (*order)[i] = static_cast<uint32_t>(keys[i]);
-      const auto b = static_cast<uint32_t>(keys[i] >> 32);
-      if (runs.empty() || runs.back().bucket != b) {
-        runs.push_back(MapBucket{b, static_cast<uint32_t>(i), 0, 0, 0});
-      }
-      runs.back().end = static_cast<uint32_t>(i + 1);
-    }
-    return runs;
-  }
-  // Many records: counting sort over the buckets.
+  // Counting sort over the buckets.
   std::vector<uint32_t> next(num_buckets, 0);  // sizes, then fill positions
   size_t non_empty = 0;
   for (uint32_t b : bucket_of) non_empty += next[b]++ == 0 ? 1 : 0;

@@ -80,8 +80,7 @@ struct MapOutput {
 /// every map-side dependency ships: fills `order` with the record indices
 /// in ascending bucket order (each bucket keeping input order) and returns
 /// the non-empty buckets as MapBuckets over `order`, bytes and codes unset.
-/// Costs O(n log n) when the records are few next to `num_buckets`,
-/// O(n + num_buckets) otherwise.
+/// A counting sort: O(n + num_buckets).
 std::vector<MapBucket> OrderByBucket(const std::vector<uint32_t>& bucket_of,
                                      uint32_t num_buckets,
                                      std::vector<uint32_t>* order);

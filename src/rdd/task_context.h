@@ -277,18 +277,8 @@ class TaskContext {
       int shuffle_id, const std::vector<int>& buckets,
       double* effective_records = nullptr) {
     std::vector<ShuffleSlice> out;
-    // `buckets` as a bitmap of words [lo_word, lo_word + owned.size()).
-    std::vector<uint64_t> owned;
-    size_t lo_word = 0;
-    if (!buckets.empty()) {
-      SHARK_CHECK(buckets.front() >= 0);
-      lo_word = static_cast<size_t>(buckets.front()) / 64;
-      owned.assign(static_cast<size_t>(buckets.back()) / 64 + 1 - lo_word, 0);
-      for (size_t i = 0; i < buckets.size(); ++i) {
-        SHARK_CHECK(i == 0 || buckets[i - 1] < buckets[i]);
-        const auto b = static_cast<size_t>(buckets[i]);
-        owned[b / 64 - lo_word] |= uint64_t{1} << (b % 64);
-      }
+    for (size_t i = 0; i < buckets.size(); ++i) {
+      SHARK_CHECK(buckets[i] >= 0 && (i == 0 || buckets[i - 1] < buckets[i]));
     }
     const std::vector<MapOutput>& outputs =
         shuffle_manager_->MapOutputs(shuffle_id);
@@ -311,25 +301,23 @@ class TaskContext {
           *effective_records += static_cast<double>(e.records()) * mo.cost_scale;
         }
       };
+      // Intersect the two ascending lists, each side seeking the other's
+      // current bucket, so the walk follows the shorter list.
       const std::vector<MapBucket>& have = mo.buckets;
-      if (have.empty() || buckets.empty()) {
-        // Nothing to match.
-      } else if (have.size() <= 8 * buckets.size()) {
-        // Few buckets next to the wanted ones: walk those in the wanted
-        // range and test each against the bitmap.
-        const auto last = static_cast<uint32_t>(buckets.back());
-        for (size_t e = SeekBucket(0, have, static_cast<uint32_t>(buckets.front()));
-             e < have.size() && have[e].bucket <= last; ++e) {
-          const uint32_t b = have[e].bucket;
-          if ((owned[b / 64 - lo_word] >> (b % 64) & 1) != 0) take(have[e]);
-        }
-      } else {
-        // Many: seek each wanted bucket past the previous match.
-        size_t e = 0;
-        for (int b : buckets) {
-          e = SeekBucket(e, have, static_cast<uint32_t>(b));
-          if (e == have.size()) break;
-          if (have[e].bucket == static_cast<uint32_t>(b)) take(have[e]);
+      auto h = have.begin();
+      auto w = buckets.begin();
+      while (h != have.end() && w != buckets.end()) {
+        const auto b = static_cast<uint32_t>(*w);
+        if (h->bucket < b) {
+          h = std::lower_bound(h, have.end(), b,
+                               [](const MapBucket& x, uint32_t v) {
+                                 return x.bucket < v;
+                               });
+        } else if (b < h->bucket) {
+          w = std::lower_bound(w, buckets.end(), static_cast<int>(h->bucket));
+        } else {
+          take(*h++);
+          ++w;
         }
       }
       if (bytes == 0) continue;
@@ -385,28 +373,6 @@ class TaskContext {
   std::vector<MemOp> TakeMemLog() { return std::move(mem_log_); }
 
  private:
-  // Index of the first of `list`'s buckets (strictly ascending, not
-  // empty) that is >= `bucket`, searched from `from` on. Distinct ids below
-  // `bucket` number at most `bucket`, and at least `bucket` minus the ids
-  // missing below the list's last one, so a dense list pins the answer to
-  // a narrow window.
-  static size_t SeekBucket(size_t from, const std::vector<MapBucket>& list,
-                           uint32_t bucket) {
-    const uint64_t gap = list.back().bucket + uint64_t{1} - list.size();
-    const size_t hi = std::min<size_t>(bucket, list.size());
-    size_t lo = std::min<size_t>(
-        std::max<uint64_t>(from, bucket > gap ? bucket - gap : 0), hi);
-    // Binary search over [lo, hi] written with selects, not branches: the
-    // outcome of each probe is a coin flip a branch predictor cannot learn.
-    for (size_t n = hi - lo; n > 0;) {
-      const size_t half = n / 2;
-      const bool below = list[lo + half].bucket < bucket;
-      lo = below ? lo + half + 1 : lo;
-      n = below ? n - half - 1 : half;
-    }
-    return lo;
-  }
-
   /// Shared degradation path: charge the external-algorithm I/O for a
   /// `bytes`-sized working set that failed to reserve. Both shapes write the
   /// whole working set to local disk and read it back once; grace hash pays

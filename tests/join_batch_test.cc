@@ -223,22 +223,21 @@ TEST_P(JoinBatchChargeTest, MatchesReferenceLayout) {
           EXPECT_EQ(got_bucket.size_code, want_bucket.size_code);
           ASSERT_EQ(got_bucket.records(), want_bucket.records());
           // Same rows in the same order, with the same hashes and bytes.
-          const vec::JoinSlice slice(ShuffleSlice{
-              got.batch.get(), got_bucket.begin, got_bucket.end,
-              got_bucket.bytes});
+          const auto& batch =
+              *static_cast<const vec::JoinBatch*>(got.batch.get());
           uint64_t bytes = 0;
-          for (size_t i = 0; i < slice.size(); ++i) {
+          for (size_t i = 0; i < got_bucket.records(); ++i) {
             const RowPair& want = ref_batch[want_bucket.begin + i];
-            const uint32_t r = slice.row(i);
-            EXPECT_EQ(slice.batch->hash(r), KeyHash(want.first));
-            EXPECT_EQ(slice.batch->KeyBytes(r), ApproxSizeOf(want.first));
-            EXPECT_EQ(slice.batch->RowBytes(r), ApproxSizeOf(want.second));
+            const uint32_t r = batch.bucket_order()[got_bucket.begin + i];
+            EXPECT_EQ(batch.hash(r), KeyHash(want.first));
+            EXPECT_EQ(batch.KeyBytes(r), ApproxSizeOf(want.first));
+            EXPECT_EQ(batch.RowBytes(r), ApproxSizeOf(want.second));
             Row fields;
-            slice.batch->AppendFields(r, &fields.fields);
+            batch.AppendFields(r, &fields.fields);
             EXPECT_EQ(fields, want.second);
             bytes += ApproxSizeOf(want);
           }
-          EXPECT_EQ(slice.bytes, bytes);
+          EXPECT_EQ(got_bucket.bytes, bytes);
         }
         ref.node = got.node = m % cfg.num_nodes;
         ctx.shuffle_manager().PutMapOutput(ref_deps.back()->shuffle_id(), m,
